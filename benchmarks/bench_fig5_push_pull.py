@@ -60,7 +60,7 @@ def test_fig5_render(benchmark):
                 # This figure ablates *direction* with each kernel's native
                 # schedule; lane rebinning (bench_table6) would otherwise
                 # narrow pull's short-row penalty and blur the crossover.
-                with loadbalance.lanes_disabled():
+                with loadbalance.forced("off"):
                     sim[d].append(
                         time_operation("cuda_sim", make_case(f, d)).seconds
                     )

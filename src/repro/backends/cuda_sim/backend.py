@@ -33,7 +33,6 @@ from ...core.operators import BinaryOp, UnaryOp
 from ...core.semiring import Semiring
 from ...gpu import reuse
 from ...gpu.device import Device, get_device
-from ...gpu.graph import KernelGraph, NullKernelGraph
 from ...gpu.kernel import Kernel, LaunchConfig, charge_transfer, launch
 from ...gpu.residency import RESIDENT_CAP, ResidentSet
 from .. import dispatch
@@ -123,12 +122,6 @@ class CudaSimBackend(Backend):
         """
         self._mark_resident(container)
 
-    def kernel_graph(self, name: str):
-        """A capture/replay graph when enabled, else the no-op variant."""
-        if reuse.graphs_enabled():
-            return KernelGraph(name, device=self._device)
-        return NullKernelGraph(name)
-
     def download(self, container) -> Any:
         """Model an explicit D2H copy of a result; returns the container."""
         charge_transfer(
@@ -173,8 +166,8 @@ class CudaSimBackend(Backend):
         # launch charges the derivation without rebuilding it: at most one
         # counting sort per matrix version, host and device combined.
         # Aux-structure builds are one-time costs, so they are charged
-        # outside any capturing graph to keep iteration signatures stable
-        # (real CUDA Graphs capture steady-state sequences too).
+        # outside any captured loop to keep its replays steady-state (real
+        # CUDA Graphs capture steady-state sequences too).
         dev = self._dev()
         saved, dev.active_graph = dev.active_graph, None
         try:

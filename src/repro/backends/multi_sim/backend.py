@@ -47,7 +47,7 @@ from ...core.descriptor import DEFAULT, Descriptor
 from ...core.monoid import Monoid
 from ...core.operators import BinaryOp, UnaryOp
 from ...core.semiring import Semiring
-from ...distributed.cluster import ClusterKernelGraph, SimCluster
+from ...distributed.cluster import SimCluster
 from ...distributed.partition import (
     PartitionedCSR,
     PartitionedVector,
@@ -266,12 +266,6 @@ class MultiSimBackend(Backend):
             )
         return container
 
-    def kernel_graph(self, name: str):
-        """One capture/replay graph per device, entered as a single scope."""
-        if self.nparts == 1:
-            return self._ex(0).kernel_graph(name)
-        return ClusterKernelGraph(name, self._cluster, enabled=reuse.graphs_enabled())
-
     # ------------------------------------------------------------------
     # Partition caches
     # ------------------------------------------------------------------
@@ -298,9 +292,7 @@ class MultiSimBackend(Backend):
         The transpose itself is the host-memoised ``cached_transpose`` (one
         counting sort per matrix version, shared with every other consumer);
         the *distributed* cost charged here is each device sorting its edge
-        block plus one all-to-all shuffling edges to their new owners.  Like
-        the single-device aux builds, the charges land outside any capturing
-        graph so iteration signatures stay stable.
+        block plus one all-to-all shuffling edges to their new owners.
         """
         hit = self._tparts.get(id(a))
         if hit is not None and hit[0] is a and hit[1] == a.version:
@@ -316,8 +308,11 @@ class MultiSimBackend(Backend):
             ex._mark_resident(shard)
         for p, shard in enumerate(part.shards):
             if shard.nvals:
-                self._launch_uncaptured(
-                    TRANSPOSE_SHARD, LaunchConfig.cover(shard.nvals), shard, p=p
+                launch(
+                    TRANSPOSE_SHARD,
+                    LaunchConfig.cover(shard.nvals),
+                    shard,
+                    device=self._dev(p),
                 )
         dt = self._cluster.comm.all_to_all(float(a.nbytes))
         self._cluster.charge_comm("all_to_all", dt, float(a.nbytes))
@@ -326,14 +321,6 @@ class MultiSimBackend(Backend):
         if reuse.aux_cache_enabled():
             self._tparts[id(a)] = (a, a.version, part)
         return part
-
-    def _launch_uncaptured(self, kernel, cfg, *args, p: int):
-        dev = self._dev(p)
-        saved, dev.active_graph = dev.active_graph, None
-        try:
-            return launch(kernel, cfg, *args, device=dev)
-        finally:
-            dev.active_graph = saved
 
     # ------------------------------------------------------------------
     # Shared product machinery

@@ -33,7 +33,10 @@ class CSRMatrix:
     - all column indices lie in ``[0, ncols)``.
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "values", "type", "_version", "_aux")
+    # __weakref__: loop-capture bindings (repro.lazy.capture) hold
+    # containers weakly, so a capture never pins a dropped matrix.
+    __slots__ = ("nrows", "ncols", "indptr", "indices", "values", "type",
+                 "_version", "_aux", "__weakref__")
 
     #: Process-wide count of counting-sort transpose *builds* (cache misses
     #: included, cache hits not).  Tests pin "at most one build per matrix

@@ -22,7 +22,9 @@ __all__ = ["SparseVector"]
 class SparseVector:
     """Canonical sparse vector: sorted unique ``indices`` + ``values``."""
 
-    __slots__ = ("size", "indices", "values", "type", "_version", "_aux")
+    # __weakref__: loop-capture bindings (repro.lazy.capture) hold
+    # containers weakly, so a capture never pins a dropped vector.
+    __slots__ = ("size", "indices", "values", "type", "_version", "_aux", "__weakref__")
 
     def __init__(self, size: int, indices, values, typ: Optional[GrBType] = None):
         self.size = int(size)

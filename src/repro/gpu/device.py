@@ -13,7 +13,7 @@ simulated clock; kernels advance the clock by their modeled duration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Optional
 
 from .costmodel import CostModel
 from .memory import DeviceAllocator
@@ -112,9 +112,10 @@ class Device:
         self.cost_model = CostModel(props)
         self._profiler = Profiler()
         self.clock_us = 0.0
-        # Kernel graph currently capturing/replaying launches (see
-        # repro.gpu.graph); None outside graph iteration scopes.
-        self.active_graph = None
+        # Captured loop whose flush is running (a repro.lazy.capture.Loop):
+        # launches route through its on_launch, residency marks through its
+        # on_bind.  None outside lazy flushes.
+        self.active_graph: Any = None
         # H2D payload discounts registered by the lazy optimizer's
         # dead-materialization pass: (id(container), version) -> bytes the
         # upload may skip (iso-valued payloads filled on-device instead of

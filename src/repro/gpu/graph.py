@@ -1,213 +1,15 @@
-"""Capture/replay kernel graphs — the CUDA Graphs analogue.
+"""The replay-record name shared by capture, the profiler and its readers.
 
-Iterative GraphBLAS algorithms (BFS, PageRank, delta-stepping) re-dispatch
-an identical kernel sequence every iteration, paying the per-launch overhead
-each time.  CUDA Graphs amortise that: the first iteration is *captured*
-(recorded launch by launch), later iterations are *replayed* as one graph
-launch — one CPU→GPU dispatch regardless of how many kernels the graph
-contains.
-
-The simulated analogue keeps full semantic fidelity: every kernel's
-semantics still execute on every iteration (the data changes!), and every
-kernel's *compute* time is still charged.  What a replay elides is the
-per-kernel launch overhead — the whole sequence is charged as a single
-profiler record named ``graph_replay[<name>]`` carrying one launch overhead
-plus the sum of the member kernels' busy times.
-
-If an iteration's launch sequence diverges from the captured signature
-(e.g. BFS flips push→pull mid-traversal), the iteration is charged kernel
-by kernel at full cost and becomes the new capture — exactly the
-"instantiate a new graph on topology change" cost model of real CUDA
-Graphs.
+Iterative algorithms (BFS, PageRank, delta-stepping) re-issue the same
+kernel sequence every iteration.  The lazy layer captures such loops
+automatically (:mod:`repro.lazy.capture`) and charges each steady-state
+run as one aggregated profiler record, the CUDA Graphs analogue.  Every
+such record's name starts with :data:`REPLAY_PREFIX`; this module is the
+single definition of that name.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
-
-from ..sanitizer import runtime as _gbsan
-from .costmodel import KernelWork
-from .device import Device, get_device
-from .profiler import LaunchRecord
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle with kernel.py
-    from .kernel import Kernel
-
-__all__ = ["GraphStats", "KernelGraph", "NullKernelGraph", "REPLAY_PREFIX"]
+__all__ = ["REPLAY_PREFIX"]
 
 REPLAY_PREFIX = "graph_replay["
-
-
-class GraphStats:
-    """Counters for one graph's capture/replay life cycle."""
-
-    __slots__ = ("captures", "replays", "launches_elided", "overhead_saved_us")
-
-    def __init__(self) -> None:
-        self.captures = 0
-        self.replays = 0
-        self.launches_elided = 0
-        self.overhead_saved_us = 0.0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-class NullKernelGraph:
-    """No-op graph for backends without launch-overhead accounting."""
-
-    __slots__ = ("name", "stats")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.stats = GraphStats()
-
-    @contextmanager
-    def iteration(self) -> Iterator["NullGraph"]:
-        yield self
-
-
-class KernelGraph:
-    """Records one iteration's launch sequence, then replays it cheaply.
-
-    Usage (one graph per algorithm invocation)::
-
-        graph = current_backend().kernel_graph("pagerank")
-        while not converged:
-            with graph.iteration():
-                ...GraphBLAS ops...
-
-    The first ``iteration()`` runs and charges normally while recording the
-    kernel-name signature.  Subsequent iterations defer charging: at exit,
-    if the sequence matches the signature, ONE aggregated launch record is
-    emitted (single launch overhead + summed busy times); otherwise the
-    kernels are charged individually and the new sequence becomes the
-    signature.
-    """
-
-    __slots__ = ("name", "_device", "_signature", "_pending", "_capturing", "stats")
-
-    def __init__(self, name: str, device: Optional[Device] = None) -> None:
-        self.name = name
-        self._device = device
-        self._signature: Optional[Tuple[str, ...]] = None
-        # (signature name, record name, busy us, work) per launch.  The
-        # signature uses the bare kernel name while records carry the
-        # lane-labeled display name, so a load-balancing lane flip between
-        # iterations re-costs the launch without forcing a recapture.
-        self._pending: List[Tuple[str, str, float, KernelWork]] = []
-        self._capturing = False
-        self.stats = GraphStats()
-
-    # ------------------------------------------------------------------
-
-    def _dev(self) -> Device:
-        return self._device or get_device()
-
-    @contextmanager
-    def iteration(self) -> Iterator["KernelGraph"]:
-        """Scope one algorithm iteration (capture or replay)."""
-        dev = self._dev()
-        if dev.active_graph is not None:
-            # Nested graphs are not modeled; inner scopes pass through.
-            yield self
-            return
-        self._capturing = self._signature is None
-        self._pending = []
-        san = _gbsan.ACTIVE
-        if san is not None:
-            san.on_graph_enter(self)
-        dev.active_graph = self
-        try:
-            yield self
-        finally:
-            dev.active_graph = None
-            self._commit(dev)
-
-    # ------------------------------------------------------------------
-    # launch() integration (called from repro.gpu.kernel.launch)
-    # ------------------------------------------------------------------
-
-    def on_launch(self, kernel: "Kernel", work: KernelWork, dev: Device) -> bool:
-        """Route one launch through the graph.
-
-        Returns True when the graph deferred the charge (replay mode); the
-        caller then skips its own clock/profiler accounting.  During
-        capture the launch is charged normally — only the name is recorded.
-        """
-        if self._capturing:
-            self._pending.append((kernel.name, kernel.display_name, 0.0, work))
-            return False
-        busy = dev.cost_model.kernel_time_us(work) - dev.props.launch_overhead_us
-        self._pending.append(
-            (kernel.name, kernel.display_name, max(busy, 0.0), work)
-        )
-        return True
-
-    # ------------------------------------------------------------------
-
-    def _commit(self, dev: Device) -> None:
-        san = _gbsan.ACTIVE
-        pending, self._pending = self._pending, []
-        if self._capturing:
-            self._capturing = False
-            if pending:
-                self._signature = tuple(name for name, _, _, _ in pending)
-                self.stats.captures += 1
-            if san is not None:
-                san.on_graph_commit(self, replayed=False)
-            return
-        if not pending:
-            if san is not None:
-                san.on_graph_commit(self, replayed=False)
-            return  # nothing launched this iteration; nothing to charge
-        names = tuple(name for name, _, _, _ in pending)
-        overhead = dev.props.launch_overhead_us
-        if names == self._signature:
-            # One graph launch: single overhead + the members' busy times.
-            busy_total = sum(busy for _, _, busy, _ in pending)
-            dt = overhead + busy_total
-            start = dev.clock_us
-            dev.advance(dt)
-            dev._profiler.record(
-                LaunchRecord(
-                    name=f"{REPLAY_PREFIX}{self.name}]",
-                    kind="kernel",
-                    start_us=start,
-                    duration_us=dt,
-                    flops=sum(w.flops for _, _, _, w in pending),
-                    bytes=sum(w.bytes_total for _, _, _, w in pending),
-                    threads=max(w.threads for _, _, _, w in pending),
-                    members=tuple(
-                        (rec_name, busy, w.flops, w.bytes_total)
-                        for _, rec_name, busy, w in pending
-                    ),
-                )
-            )
-            self.stats.replays += 1
-            self.stats.launches_elided += len(pending) - 1
-            self.stats.overhead_saved_us += overhead * (len(pending) - 1)
-            if san is not None:
-                san.on_graph_commit(self, replayed=True)
-            return
-        # Sequence diverged: charge kernel by kernel and re-capture.
-        for _, rec_name, busy, work in pending:
-            dt = overhead + busy
-            start = dev.clock_us
-            dev.advance(dt)
-            dev._profiler.record(
-                LaunchRecord(
-                    name=rec_name,
-                    kind="kernel",
-                    start_us=start,
-                    duration_us=dt,
-                    flops=work.flops,
-                    bytes=work.bytes_total,
-                    threads=work.threads,
-                )
-            )
-        self._signature = names
-        self.stats.captures += 1
-        if san is not None:
-            san.on_graph_commit(self, replayed=False)

@@ -77,9 +77,9 @@ class Kernel:
     accesses: Optional[Callable[..., Access]] = None
     # Load-balancing lane this variant is pinned to (see
     # repro.gpu.loadbalance).  Profiler records carry it as a
-    # "name[lane]" label; kernel-graph signatures use the bare name, so a
-    # lane flip between iterations re-costs the launch without forcing a
-    # recapture.
+    # "name[lane]" label.  Loop-capture signatures are structural (see
+    # repro.lazy.capture), so a lane flip between iterations re-costs the
+    # launch without forcing a recapture.
     lane: Optional[str] = None
 
     @property
@@ -139,10 +139,11 @@ def launch(
         write_labels = tuple(label(o) for o in access.writes if is_tracked(o))
     graph = dev.active_graph
     if graph is not None and stream is None:
-        # Inside a graph iteration: capture records the name and charges
-        # normally; replay defers charging to the graph's commit (one
-        # aggregated launch-overhead for the whole sequence).  Semantics
-        # always execute — the data changes every iteration.
+        # Inside a captured loop's flush (repro.lazy.capture): the capture
+        # iteration charges normally; a replay defers charging to the
+        # loop's commit (one aggregated launch overhead for the whole
+        # sequence).  Semantics always execute — the data changes every
+        # iteration.
         if graph.on_launch(kernel, work, dev):
             return kernel.run(*args, **kwargs)
     dt = dev.cost_model.kernel_time_us(work)

@@ -14,9 +14,9 @@ the existing cost model.
 Lane selection is a pure *schedule* decision: the semantic functions are
 untouched, so results are bit-identical to the single-lane kernels on
 every backend.  Like the reuse layer, the policy has an explicit A/B
-switch — ``configure(mode=...)`` / :func:`lanes_disabled` /
-:func:`forced` — so benchmarks can measure the lane layer against its own
-baseline within one process.
+switch — :func:`forced` (``forced("off")`` is the pre-lanes baseline) —
+so benchmarks can measure the lane layer against its own baseline within
+one process.
 
 Lane vocabulary:
 
@@ -47,11 +47,8 @@ __all__ = [
     "LanePlan",
     "LaneSchedule",
     "choose_lanes",
-    "configure",
     "current_mode",
     "forced",
-    "lanes_disabled",
-    "lanes_enabled",
     "merge_partitions",
     "plan_rows",
     "schedule",
@@ -68,82 +65,35 @@ LANES: Tuple[str, ...] = ("scalar", "vector", "merge")
 MODES: Tuple[str, ...] = ("auto", "scalar", "vector", "merge", "off")
 
 
-class _Config:
-    __slots__ = ("mode", "scalar_cutoff", "vector_cutoff", "merge_tile")
+#: Rows with <= SCALAR_CUTOFF entries: thread-per-row is already balanced.
+#: Rows in (SCALAR_CUTOFF, VECTOR_CUTOFF]: warp-per-row with a row-sized
+#: vector width.  Longer rows: merge-path.
+SCALAR_CUTOFF = 4
+VECTOR_CUTOFF = 256
 
-    def __init__(self) -> None:
-        self.mode = "auto"
-        # Rows with <= scalar_cutoff entries: thread-per-row is already
-        # balanced.  Rows in (scalar_cutoff, vector_cutoff]: warp-per-row
-        # with a row-sized vector width.  Longer rows: merge-path.
-        self.scalar_cutoff = 4
-        self.vector_cutoff = 256
-        # Work units (nnz + nrows) per merge-path partition.
-        self.merge_tile = 256
+#: Work units (nnz + nrows) per merge-path partition.
+MERGE_TILE = 256
 
 
-_CONFIG = _Config()
-
-
-def configure(
-    mode: Optional[str] = None,
-    scalar_cutoff: Optional[int] = None,
-    vector_cutoff: Optional[int] = None,
-    merge_tile: Optional[int] = None,
-) -> None:
-    """Set lane-policy switches (None leaves a switch untouched)."""
-    if mode is not None:
-        if mode not in MODES:
-            raise InvalidValueError(f"unknown lane mode {mode!r}; known: {MODES}")
-        _CONFIG.mode = mode
-    if scalar_cutoff is not None:
-        if scalar_cutoff < 1:
-            raise InvalidValueError(f"scalar_cutoff must be >= 1, got {scalar_cutoff}")
-        _CONFIG.scalar_cutoff = int(scalar_cutoff)
-    if vector_cutoff is not None:
-        if vector_cutoff <= _CONFIG.scalar_cutoff:
-            raise InvalidValueError(
-                f"vector_cutoff must exceed scalar_cutoff "
-                f"({_CONFIG.scalar_cutoff}), got {vector_cutoff}"
-            )
-        _CONFIG.vector_cutoff = int(vector_cutoff)
-    if merge_tile is not None:
-        if merge_tile < 2:
-            raise InvalidValueError(f"merge_tile must be >= 2, got {merge_tile}")
-        _CONFIG.merge_tile = int(merge_tile)
+_mode = "auto"
 
 
 def current_mode() -> str:
-    return _CONFIG.mode
-
-
-def lanes_enabled() -> bool:
-    return _CONFIG.mode != "off"
-
-
-@contextmanager
-def lanes_disabled() -> Iterator[None]:
-    """Run with lane selection off (every kernel keeps its native lane)."""
-    prev = _CONFIG.mode
-    _CONFIG.mode = "off"
-    try:
-        yield
-    finally:
-        _CONFIG.mode = prev
+    return _mode
 
 
 @contextmanager
 def forced(mode: str) -> Iterator[None]:
     """Run with the lane policy pinned to ``mode`` (a lane name or
     ``auto``/``off``) — the benchmark A/B harness."""
+    global _mode
     if mode not in MODES:
         raise InvalidValueError(f"unknown lane mode {mode!r}; known: {MODES}")
-    prev = _CONFIG.mode
-    _CONFIG.mode = mode
+    prev, _mode = _mode, mode
     try:
         yield
     finally:
-        _CONFIG.mode = prev
+        _mode = prev
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +132,8 @@ class LanePlan:
 def plan_rows(lens: np.ndarray) -> LanePlan:
     """Bin rows by length into the three lanes (an exact partition)."""
     lens = np.asarray(lens)
-    sc, vc = _CONFIG.scalar_cutoff, _CONFIG.vector_cutoff
-    short = lens <= sc
-    long_ = lens > vc
+    short = lens <= SCALAR_CUTOFF
+    long_ = lens > VECTOR_CUTOFF
     return LanePlan(
         scalar=np.flatnonzero(short),
         vector=np.flatnonzero(~short & ~long_),
@@ -202,7 +151,7 @@ def merge_partitions(units: int, tile: Optional[int] = None) -> np.ndarray:
     total = int(units)
     if total <= 0:
         return np.zeros(0, dtype=np.int64)
-    t = int(tile) if tile is not None else _CONFIG.merge_tile
+    t = int(tile) if tile is not None else MERGE_TILE
     nparts = max(1, -(-total // t))
     base, rem = divmod(total, nparts)
     out = np.full(nparts, base, dtype=np.int64)
@@ -228,7 +177,7 @@ def choose_lanes(
     ``native`` is the kernel's built-in lane, returned when the policy is
     off.  Returns a lane name or ``"binned"``.
     """
-    mode = _CONFIG.mode
+    mode = _mode
     if mode == "off":
         return native
     if mode in LANES:
@@ -236,7 +185,7 @@ def choose_lanes(
     lens = np.asarray(lens)
     if lens.size == 0:
         return native
-    if nnz_max is not None and nnz_max <= _CONFIG.scalar_cutoff:
+    if nnz_max is not None and nnz_max <= SCALAR_CUTOFF:
         return "scalar"
     return plan_rows(lens).label
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from .graph import REPLAY_PREFIX
+
 __all__ = ["LaunchRecord", "Profiler"]
 
 
@@ -82,11 +84,11 @@ class Profiler:
 
     @property
     def replay_count(self) -> int:
-        """Aggregated graph-replay launches (see repro.gpu.graph)."""
+        """Aggregated loop-replay launches (see repro.lazy.capture)."""
         return sum(
             1
             for r in self.records
-            if r.kind == "kernel" and r.name.startswith("graph_replay[")
+            if r.kind == "kernel" and r.name.startswith(REPLAY_PREFIX)
         )
 
     def by_kernel(self, expand_replays: bool = False) -> Dict[str, Dict[str, float]]:

@@ -15,7 +15,9 @@ a cluster bind a fixed device instead.
 Every state transition notifies the sanitizer (when enabled) so gbsan's
 shadow resident set stays exact: marks, evictions, and re-uploads are
 the ground truth its residency and lifetime checkers compare kernel
-accesses against.
+accesses against.  Inside a captured loop's flush every container made
+resident is also reported to the loop (``active_graph.on_bind``), which
+re-instantiates the capture when a container moved to a new buffer.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class ResidentSet:
                     # Self-heal a sanitizer enabled mid-session: the shadow
                     # learns about clean entries it never saw marked.
                     san.on_resident_mark(dev, container, entry[1])
+                if dev.active_graph is not None:
+                    dev.active_graph.on_bind(container, entry[1])
                 return
             # Host copy mutated since upload: the device copy is stale.
             # Free the old block (it lands in the pool) and re-upload.
@@ -117,12 +121,16 @@ class ResidentSet:
             self._entries.move_to_end(key)
             if san is not None:
                 san.on_resident_mark(dev, container, entry[1])
+            if dev.active_graph is not None:
+                dev.active_graph.on_bind(container, entry[1])
             return
         buf = dev.allocator.reserve(container.nbytes, record_h2d=record_h2d)
         self._entries[key] = (container, buf, version)
         self._entries.move_to_end(key)
         if san is not None:
             san.on_resident_mark(dev, container, buf)
+        if dev.active_graph is not None:
+            dev.active_graph.on_bind(container, buf)
         while len(self._entries) > self._cap:
             _, (old_container, old_buf, _) = self._entries.popitem(last=False)
             old_buf.free()

@@ -1,18 +1,27 @@
 """Automatic whole-loop capture for lazily flushed kernel sequences.
 
 Iterative algorithms (BFS, PageRank, delta-stepping) flush an identical
-node sequence every iteration.  Manual capture (``kernel_graph`` +
-``graph.iteration()`` in every algorithm) is gone; instead the flush
-computes a structural *signature* of each tape it executes:
+node sequence every iteration.  The flush computes a structural
+*signature* of each tape it executes, and each signature owns one
+:class:`Loop`:
 
 - the first time a signature is seen, the flush executes and charges
-  normally (the capture iteration);
-- every later occurrence runs its launches through a :class:`LoopAgg` —
-  semantics execute as always, but charging is deferred and *accumulated
-  across iterations*.  When the loop ends (a config barrier, a profiler
-  read, a ``use_backend`` exit — any :func:`repro.lazy.schedule.wait`),
-  one ``graph_replay[lazy:<name>]`` record is emitted carrying a single
-  launch overhead plus the summed busy times of every member kernel.
+  normally (the capture iteration) and records the loop's *bindings*: the
+  device buffer behind every container the flush made resident;
+- every later occurrence is a replay — semantics execute as always, but
+  charging is deferred and *accumulated across iterations*.  When the loop
+  ends (a config barrier, a profiler read, a ``use_backend`` exit — any
+  :func:`repro.lazy.schedule.wait`), one ``graph_replay[lazy:<name>]``
+  record is emitted carrying a single launch overhead plus the summed busy
+  times of every member kernel.
+
+A replay whose flush finds a captured container on a *different* device
+buffer (a version-stale re-upload, an LRU eviction followed by a re-upload,
+``evict_all``) cannot reuse the capture: a real CUDA graph would still
+dereference the old pointer.  That flush is charged kernel by kernel and
+its bindings replace the captured ones — re-instantiation.  Bindings hold
+their containers weakly and match them by identity, so a dead container
+whose ``id`` is reused never looks rebound.
 
 Signatures are structural: op names, input arities, operator/monoid names
 and descriptor flags — never data values, so a BFS frontier changing size
@@ -26,44 +35,117 @@ State is held per :class:`~repro.gpu.device.Device` in a weak-key map so
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..gpu.costmodel import KernelWork
 from ..gpu.graph import REPLAY_PREFIX
 from ..gpu.profiler import LaunchRecord
+from ..sanitizer import runtime as _gbsan
 from .ir import Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gpu.device import Device
     from ..gpu.kernel import Kernel
 
-__all__ = ["LoopAgg", "close", "discard", "enter", "signature"]
+__all__ = ["Loop", "close", "discard", "enter", "signature"]
 
 LAZY_REPLAY_PREFIX = REPLAY_PREFIX + "lazy:"
 
+#: ``id(container) -> (weakref to it, device buffer)``: what one flush
+#: bound.  The weakref confirms identity, so a reused ``id`` never matches.
+Bindings = Dict[int, Tuple["weakref.ref[Any]", Any]]
 
-class LoopAgg:
-    """Accumulates deferred launches for one repeated flush signature.
 
-    Implements the ``on_launch`` protocol of
-    :class:`repro.gpu.graph.KernelGraph` (see ``repro.gpu.kernel.launch``):
-    returning True defers the charge to :meth:`commit`, which emits one
-    aggregated record for *all* accumulated iterations.
+class Loop:
+    """Capture state for one flush signature.
+
+    While a flush of the signature runs it is the device's
+    ``active_graph``: :func:`repro.gpu.kernel.launch` routes each launch
+    through :meth:`on_launch` (True defers the charge), and
+    :class:`~repro.gpu.residency.ResidentSet` reports every container it
+    makes resident through :meth:`on_bind`.  Deferred launches accumulate
+    across iterations until :meth:`commit` emits one aggregated record.
     """
 
-    __slots__ = ("name", "_pending")
+    __slots__ = (
+        "name", "replaying", "bindings", "binds", "pending", "start",
+        "san_bindings", "san_reads",
+    )
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._pending: List[Tuple[str, float, KernelWork]] = []
+        self.replaying = False
+        self.bindings: Bindings = {}
+        # (container, buffer) made resident by the running flush.
+        self.binds: List[Tuple[Any, Any]] = []
+        self.pending: List[Tuple[str, float, KernelWork]] = []
+        # Index into ``pending`` where the running flush's launches start.
+        self.start = 0
+        # gbsan's own view of the same bindings, from declared kernel reads.
+        self.san_bindings: Bindings = {}
+        self.san_reads: List[Tuple[Any, Any]] = []
+
+    def begin(self, replaying: bool) -> None:
+        """Start one flush: a capture, or a replay of the bindings."""
+        self.replaying = replaying
+        self.start = len(self.pending)
+        self.binds = []
+        self.san_reads = []
 
     def on_launch(self, kernel: "Kernel", work: KernelWork, dev: "Device") -> bool:
+        if not self.replaying:
+            return False
         busy = dev.cost_model.kernel_time_us(work) - dev.props.launch_overhead_us
-        self._pending.append((kernel.display_name, max(busy, 0.0), work))
+        self.pending.append((kernel.display_name, max(busy, 0.0), work))
         return True
 
+    def on_bind(self, container: Any, buffer: Any) -> None:
+        self.binds.append((container, buffer))
+
+    def _rebound(self) -> bool:
+        """True when a live captured container now has another buffer."""
+        for c, buf in self.binds:
+            cap = self.bindings.get(id(c))
+            if cap is not None and cap[1] is not buf and cap[0]() is c:
+                return True
+        return False
+
+    def finish(self, dev: "Device") -> None:
+        """End one flush; re-instantiate when a captured binding moved.
+
+        Decided here rather than per launch because the re-upload that
+        moves a container happens inside the flush, before its kernel.
+        """
+        replayed = self.replaying and not self._rebound()
+        if self.replaying and not replayed:
+            # Re-instantiation: this flush's launches are charged one by one.
+            for name, _, work in self.pending[self.start :]:
+                dt = dev.cost_model.kernel_time_us(work)
+                start = dev.clock_us
+                dev.advance(dt)
+                dev._profiler.record(
+                    LaunchRecord(
+                        name=name,
+                        kind="kernel",
+                        start_us=start,
+                        duration_us=dt,
+                        flops=work.flops,
+                        bytes=work.bytes_total,
+                        threads=work.threads,
+                    )
+                )
+            del self.pending[self.start :]
+        if not replayed:
+            self.bindings = {id(c): (weakref.ref(c), buf) for c, buf in self.binds}
+        self.binds = []
+        san = _gbsan.ACTIVE
+        if san is not None:
+            san.on_loop_commit(self, replayed)
+
     def commit(self, dev: "Device") -> None:
-        pending, self._pending = self._pending, []
+        """Emit the accumulated replays as one aggregated record."""
+        pending, self.pending = self.pending, []
+        self.start = 0
         if not pending:
             return
         overhead = dev.props.launch_overhead_us
@@ -90,13 +172,12 @@ class LoopAgg:
 class _State:
     """Per-device capture bookkeeping."""
 
-    __slots__ = ("seen", "open")
+    __slots__ = ("loops", "open")
 
     def __init__(self) -> None:
-        # signature -> aggregate name (first occurrence executed plainly).
-        self.seen: Dict[Tuple[Any, ...], str] = {}
-        # signature -> accumulating aggregate for repeat occurrences.
-        self.open: Dict[Tuple[Any, ...], LoopAgg] = {}
+        self.loops: Dict[Tuple[Any, ...], Loop] = {}
+        # Loops holding deferred launches, committed at the next close().
+        self.open: Dict[Tuple[Any, ...], Loop] = {}
 
 
 _STATES: "weakref.WeakKeyDictionary[Any, _State]" = weakref.WeakKeyDictionary()
@@ -138,11 +219,11 @@ def signature(nodes: List[Node]) -> Tuple[Any, ...]:
     return tuple(_node_sig(n) for n in nodes)
 
 
-def enter(nodes: List[Node]) -> Optional[LoopAgg]:
-    """Route one flush through capture; None means execute/charge plainly.
+def enter(nodes: List[Node]) -> Loop:
+    """Start one flush of ``nodes`` under its signature's loop.
 
     The first occurrence of a signature is the capture iteration; repeats
-    return the (possibly already accumulating) aggregate for it.
+    replay into the (possibly already accumulating) aggregate.
     """
     from ..gpu.device import get_device
 
@@ -151,16 +232,14 @@ def enter(nodes: List[Node]) -> Optional[LoopAgg]:
     if state is None:
         state = _STATES[dev] = _State()
     sig = signature(nodes)
-    agg = state.open.get(sig)
-    if agg is not None:
-        return agg
-    name = state.seen.get(sig)
-    if name is not None:
-        agg = LoopAgg(name)
-        state.open[sig] = agg
-        return agg
-    state.seen[sig] = f"{nodes[0].op}x{len(nodes)}"
-    return None
+    loop = state.loops.get(sig)
+    if loop is None:
+        loop = state.loops[sig] = Loop(f"{nodes[0].op}x{len(nodes)}")
+        loop.begin(replaying=False)
+        return loop
+    state.open[sig] = loop
+    loop.begin(replaying=True)
+    return loop
 
 
 def close(dev: "Device") -> None:
@@ -168,9 +247,9 @@ def close(dev: "Device") -> None:
     state = _STATES.get(dev)
     if state is None or not state.open:
         return
-    open_aggs, state.open = state.open, {}
-    for agg in open_aggs.values():
-        agg.commit(dev)
+    open_loops, state.open = state.open, {}
+    for loop in open_loops.values():
+        loop.commit(dev)
 
 
 def discard(dev: "Device") -> None:

@@ -18,8 +18,10 @@ toggleable optimizer passes:
 - ``direction`` — loop-level push/pull selection from cached degree stats,
   replacing the per-op runtime heuristic for frontier-style products;
 - ``capture`` — whole-loop capture: steady-state flush signatures are
-  aggregated into one replay record (the CUDA Graphs analogue, applied
-  automatically instead of via manual capture scopes).
+  aggregated into one replay record (the CUDA Graphs analogue, and the
+  only capture path).  It is also the reuse layer's graph switch:
+  :func:`repro.gpu.reuse.reuse_disabled` turns it off and
+  :func:`repro.gpu.reuse.graphs_enabled` reads it.
 
 Every mode or pass transition is an observation point: pending recorded
 work is forced (and open capture aggregates closed) *before* the switch

@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import weakref
 
 from ..backends.dispatch import current_backend, set_sync_hook
-from ..gpu import reuse
 from ..gpu.device import get_device, set_observe_hook
 from . import config
 from .ir import LazyValue, Node, RunFn
@@ -260,21 +259,20 @@ def _flush(tape: List[Node], root: Optional[LazyValue]) -> None:
             passes.choose_directions(nodes)
         if flags.dme:
             passes.register_iso_hints(nodes)
-    agg = None
-    if gpu_single and flags.capture and reuse.graphs_enabled():
-        agg = capture.enter(nodes)
-    if agg is None:
+    if not (gpu_single and flags.capture):
         for node in nodes:
             _execute(node)
         return
+    loop = capture.enter(nodes)
     dev = get_device()
     prev = dev.active_graph
-    dev.active_graph = agg
+    dev.active_graph = loop
     try:
         for node in nodes:
             _execute(node)
     finally:
         dev.active_graph = prev
+    loop.finish(dev)
 
 
 def _resolve(v: Any) -> Any:

@@ -1,8 +1,8 @@
 """gbsan — sanitizer suite for the simulated GPU stack.
 
-Runtime checkers (race / residency / pool-lifetime / graph-replay, see
-:mod:`repro.sanitizer.runtime`) plus the static kernel-contract lint
-(:mod:`repro.sanitizer.lint`).
+Runtime checkers (race / residency / pool-lifetime / loop-replay, see
+:mod:`repro.sanitizer.runtime`) plus the static kernel-contract lint rules
+(:mod:`repro.sanitizer.lint`, run through ``tools/gbcheck.py``).
 
 Off by default with zero overhead.  Enable programmatically::
 

@@ -36,12 +36,13 @@ references it is a ``pool-alias``; buffers alive at ``Device.reset()`` (or
 an explicit :meth:`Sanitizer.check_leaks`) that no resident set references
 are ``leak`` findings.
 
-**Graph replay** — at capture, each kernel graph records the (container,
-device-buffer) bindings its launches read; a matched replay whose reads
-resolve to a *different* device buffer (the container was re-uploaded after
-a host mutation — a real CUDA graph would still dereference the captured
-pointer) is a ``stale-replay``.  The binding check requires transfer
-elision (stable buffers) and is skipped when elision is off.
+**Loop replay** — the capture flush of each lazily captured loop
+(:mod:`repro.lazy.capture`) records the (container, device-buffer) bindings
+its launches read; a replayed flush whose reads resolve to a *different*
+device buffer (the container was re-uploaded after a host mutation or an
+eviction — a real CUDA graph would still dereference the captured pointer)
+is a ``stale-replay``.  The capture layer re-instantiates such loops
+itself, so a finding means its rebind detection missed one.
 """
 
 from __future__ import annotations
@@ -124,17 +125,6 @@ class _AllocState:
         self.retired: Dict[int, "weakref.ref[Any]"] = {}
 
 
-class _GraphState:
-    """Per-KernelGraph capture bindings and current-iteration reads."""
-
-    __slots__ = ("captured", "current")
-
-    def __init__(self) -> None:
-        # id(container) -> (container, device buffer bound at capture)
-        self.captured: Dict[int, Tuple[Any, Optional[Any]]] = {}
-        self.current: List[Tuple[Any, Optional[Any]]] = []
-
-
 class Sanitizer:
     """Collects hazards from the instrumented simulated-GPU stack."""
 
@@ -150,7 +140,6 @@ class Sanitizer:
         self._mirror: Dict[int, Dict[int, _ResEntry]] = {}  # id(device) -> shadow
         self._events: Dict[int, Dict[int, int]] = {}  # id(event) -> vc snapshot
         self._alloc: Dict[int, _AllocState] = {}  # id(allocator) -> shadow
-        self._graphs: Dict[int, _GraphState] = {}  # id(graph) -> state
 
     # ------------------------------------------------------------------
     # reporting
@@ -246,16 +235,15 @@ class Sanitizer:
             tl, _ = self._sync_epoch(device, kernel_name)
         else:
             tl, _ = self._async_epoch(stream)
-        graph = getattr(device, "active_graph", None) if stream is None else None
-        gstate = self._graphs.get(id(graph)) if graph is not None else None
+        loop = device.active_graph if stream is None else None
         shadow = self._mirror.setdefault(id(device), {})
         for obj in access.reads:
             if not is_tracked(obj):
                 continue
             self._check_read(obj, tl, kernel_name, device, shadow)
-            if gstate is not None:
+            if loop is not None:
                 entry = shadow.get(id(obj))
-                gstate.current.append(
+                loop.san_reads.append(
                     (obj, entry.buffer if entry is not None else None)
                 )
         for obj in access.writes:
@@ -581,51 +569,35 @@ class Sanitizer:
         self._alloc.pop(id(device.allocator), None)
 
     # ------------------------------------------------------------------
-    # kernel-graph replay
+    # loop replay
     # ------------------------------------------------------------------
 
-    def on_graph_enter(self, graph: Any) -> None:
-        gs = self._graphs.get(id(graph))
-        if gs is None:
-            gs = _GraphState()
-            self._graphs[id(graph)] = gs
-            self._anchors[id(graph)] = graph
-        gs.current = []
+    def on_loop_commit(self, loop: Any, replayed: bool) -> None:
+        """End of one captured-loop flush (see :mod:`repro.lazy.capture`).
 
-    def on_graph_commit(self, graph: Any, replayed: bool) -> None:
-        """Capture rebinds; a matched replay checks bindings against capture.
-
-        Binding identity is only stable when transfer elision keeps clean
-        containers on their original device buffers, so the check is skipped
-        when elision is disabled.
+        A capture (or re-instantiation) records the buffers its launches
+        read; a replay checks its reads against them.  Containers are held
+        weakly and matched by identity, so a reused ``id`` never matches.
         """
-        gs = self._graphs.get(id(graph))
-        if gs is None:
-            return
-        current, gs.current = gs.current, []
+        reads, loop.san_reads = loop.san_reads, []
         if not replayed:
-            gs.captured = {id(c): (c, buf) for c, buf in current}
+            loop.san_bindings = {id(c): (weakref.ref(c), buf) for c, buf in reads}
             return
-        from ..gpu import reuse
-
-        if not reuse.elision_enabled():
-            return
-        for c, buf_now in current:
-            cap = gs.captured.get(id(c))
-            if cap is None:
+        for c, buf_now in reads:
+            cap = loop.san_bindings.get(id(c))
+            if cap is None or cap[0]() is not c:
                 continue
-            c_cap, buf_cap = cap
-            if c_cap is not c:
-                continue
+            buf_cap = cap[1]
             if buf_cap is not None and buf_now is not None and buf_cap is not buf_now:
                 self._emit(
                     "stale-replay",
-                    "replayed graph reads a container that was re-uploaded to a "
-                    "new device buffer after capture (host mutated it); a real "
-                    "CUDA graph would still dereference the captured pointer — "
-                    "re-instantiate the graph after host writes",
-                    f"graph[{getattr(graph, 'name', '?')}]",
-                    "<graph replay>",
+                    "replayed loop reads a container that moved to a new "
+                    "device buffer after capture (re-uploaded after a host "
+                    "mutation or an eviction); a real CUDA graph would still "
+                    "dereference the captured pointer — re-instantiate the "
+                    "loop on rebind",
+                    f"loop[{loop.name}]",
+                    "<loop replay>",
                     label(c),
                 )
 

@@ -31,6 +31,8 @@ from ..core.semiring import MIN_PLUS, PLUS_TIMES
 from ..core.vector import Vector
 from ..gpu import reuse
 from ..gpu.device import get_device, reset_device
+from ..gpu.graph import REPLAY_PREFIX
+from ..lazy.config import passes_configured
 from ..types import FP64
 from .executor import execute
 from .programs import Program, build_env
@@ -140,7 +142,7 @@ def _counts_by_kernel(profiler, expand: bool) -> Dict[str, int]:
     return {
         name: int(row["count"])
         for name, row in agg.items()
-        if not name.startswith("graph_replay[")
+        if not name.startswith(REPLAY_PREFIX)
     }
 
 
@@ -169,12 +171,8 @@ def check_replay_conservation(program: Program, source: int = 0) -> Optional[str
         )
 
     be = _fresh_cuda_sim()
-    reuse.configure(graphs=False)
-    try:
-        with use_backend("cuda_sim"):
-            run_bfs()
-    finally:
-        reuse.configure(graphs=True)
+    with passes_configured(capture=False), use_backend("cuda_sim"):
+        run_bfs()
     plain = _counts_by_kernel(get_device().profiler, expand=False)
     be.evict_all()
 

@@ -374,7 +374,6 @@ class TestDirectionAndFusion:
         assert names <= {
             "spmv_push_fused",
             "spmv_pull_fused",
-            "graph_replay[bfs]",
             "graph_replay[lazy:frontier_stepx1]",
             "transpose_countsort",
         }

@@ -12,8 +12,8 @@ Covers the lane tentpole end to end:
   lanes-off baseline) result-for-result across semirings, masks, and
   push/pull directions, on cuda_sim and on multi_sim at P in {1, 2, 4},
   with launch-counter parity between auto and forced runs;
-- the A/B switch: ``configure`` validation, ``forced``/``lanes_disabled``
-  scoping, and the profiler's ``name[lane]`` labels.
+- the A/B switch: ``forced`` validation and scoping (``forced("off")`` is
+  the lanes-off baseline), and the profiler's ``name[lane]`` labels.
 """
 
 import numpy as np
@@ -65,9 +65,10 @@ class TestBinning:
     @settings(max_examples=60, deadline=None)
     def test_bins_respect_cutoffs(self, lens):
         plan = lb.plan_rows(lens)
-        assert np.all(lens[plan.scalar] <= 4)
-        assert np.all((lens[plan.vector] > 4) & (lens[plan.vector] <= 256))
-        assert np.all(lens[plan.merge] > 256)
+        sc, vc = lb.SCALAR_CUTOFF, lb.VECTOR_CUTOFF
+        assert np.all(lens[plan.scalar] <= sc)
+        assert np.all((lens[plan.vector] > sc) & (lens[plan.vector] <= vc))
+        assert np.all(lens[plan.merge] > vc)
 
     @given(units=st.integers(0, 10**6), tile=st.integers(2, 4096))
     @settings(max_examples=80, deadline=None)
@@ -142,12 +143,11 @@ class TestSchedules:
 class TestChoice:
     def test_off_mode_keeps_native(self):
         lens = np.array([1, 1000])
-        with lb.lanes_disabled():
+        with lb.forced("off"):
             assert lb.choose_lanes(lens, native="vector") == "vector"
             assert lb.choose_lanes(lens, native="scalar") == "scalar"
             assert lb.current_mode() == "off"
-            assert not lb.lanes_enabled()
-        assert lb.lanes_enabled()
+        assert lb.current_mode() == "auto"
 
     def test_forced_mode_pins_lane(self):
         lens = np.array([1, 1, 1])
@@ -156,35 +156,17 @@ class TestChoice:
                 assert lb.choose_lanes(lens) == lane
 
     def test_auto_short_circuits_on_nnz_max(self):
-        # nnz_max <= scalar_cutoff: no binning pass needed at all.
+        # nnz_max <= SCALAR_CUTOFF: no binning pass needed at all.
         assert lb.choose_lanes(np.array([1, 2, 3]), nnz_max=3) == "scalar"
 
     def test_auto_empty_returns_native(self):
         assert lb.choose_lanes(np.zeros(0), native="vector") == "vector"
 
-    def test_configure_validation(self):
-        with pytest.raises(InvalidValueError):
-            lb.configure(mode="warp")
-        with pytest.raises(InvalidValueError):
-            lb.configure(scalar_cutoff=0)
-        with pytest.raises(InvalidValueError):
-            lb.configure(vector_cutoff=4)  # must exceed scalar_cutoff (4)
-        with pytest.raises(InvalidValueError):
-            lb.configure(merge_tile=1)
-        assert lb.current_mode() == "auto"
-
-    def test_configure_cutoffs_scoped_restore(self):
-        lb.configure(scalar_cutoff=8, vector_cutoff=64)
-        try:
-            plan = lb.plan_rows(np.array([6, 100]))
-            assert plan.scalar.size == 1 and plan.merge.size == 1
-        finally:
-            lb.configure(scalar_cutoff=4, vector_cutoff=256)
-
     def test_forced_rejects_unknown(self):
         with pytest.raises(InvalidValueError):
             with lb.forced("warp"):
                 pass  # pragma: no cover
+        assert lb.current_mode() == "auto"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Covers the PR's tentpole pieces end to end:
   the mutation counter;
 - the pooled device allocator and its hit accounting;
 - host→device transfer elision via per-container residency dirty bits;
-- capture/replay kernel graphs and their launch-overhead amortisation;
+- capture/replay kernel graphs (automatic lazy loop capture) and their
+  launch-overhead amortisation;
 - the acceptance comparison: PageRank with the reuse layer vs the same code
   with every reuse feature disabled (the PR 1 cost model), bit-identical
   results with far fewer charged launches and uploaded bytes.
@@ -22,13 +23,13 @@ import repro as gb
 from repro.backends.dispatch import get_backend, use_backend
 from repro.containers.csr import CSRMatrix
 from repro.core import operations as ops
+from repro.core.operators import PLUS, TIMES
 from repro.core.semiring import LOR_LAND, PLUS_TIMES
 from repro.gpu import reuse
-from repro.gpu.costmodel import KernelWork
 from repro.gpu.device import get_device, reset_device
-from repro.gpu.graph import KernelGraph
-from repro.gpu.kernel import Kernel, LaunchConfig, launch
+from repro.gpu.graph import REPLAY_PREFIX
 from repro.gpu.memory import DeviceAllocator
+from repro.lazy import lazy_enabled, pass_enabled
 
 
 @pytest.fixture(autouse=True)
@@ -274,89 +275,101 @@ class TestTransferElision:
 
 
 # ---------------------------------------------------------------------------
-# Capture/replay kernel graphs
+# Capture/replay kernel graphs (automatic lazy loop capture)
 # ---------------------------------------------------------------------------
 
 
-def _kernel(name, flops=1e6, nbytes=8e5):
-    return Kernel(
-        name=name,
-        run=lambda *a, **k: None,
-        work=lambda *a, **k: KernelWork(
-            flops=flops, bytes_read=nbytes, threads=1 << 18
-        ),
-    )
+def _loop(bodies):
+    """Run each body as its own lazy flush on cuda_sim; returns kernel names.
+
+    Every body ends in an observation point, so each iteration flushes one
+    tape and the lazy layer captures/replays it by structural signature.
+    """
+    with use_backend("cuda_sim"), lazy_enabled():
+        for body in bodies:
+            body()
+    return [r.name for r in get_device().profiler.records if r.kind == "kernel"]
+
+
+def _vectors(n=8):
+    u = gb.Vector.from_dense(np.arange(1.0, n + 1.0))
+    v = gb.Vector.from_dense(np.arange(2.0, n + 2.0))
+    return u, v
+
+
+def _ewise(op, binop, u, v):
+    def body():
+        w = gb.Vector.sparse(gb.FP64, u.size)
+        op(w, u, v, binop)
+        w.nvals  # observation point: one flush per iteration
+    return body
+
+
+def _replays(names):
+    return [n for n in names if n.startswith(REPLAY_PREFIX)]
 
 
 class TestKernelGraph:
     def test_capture_then_replay_single_record(self):
-        dev = get_device()
-        k1, k2 = _kernel("ka"), _kernel("kb")
-        g = KernelGraph("unit")
-        for _ in range(3):
-            with g.iteration():
-                launch(k1, LaunchConfig.cover(1 << 18))
-                launch(k2, LaunchConfig.cover(1 << 18))
-        assert g.stats.captures == 1
-        assert g.stats.replays == 2
-        assert g.stats.launches_elided == 2
-        names = [r.name for r in dev.profiler.records if r.kind == "kernel"]
-        assert names == ["ka", "kb", "graph_replay[unit]", "graph_replay[unit]"]
+        u, v = _vectors()
+        names = _loop([_ewise(ops.ewise_add, PLUS, u, v)] * 3)
+        # The capture iteration charges its kernel; both repeats land in
+        # ONE aggregated record at the loop exit.
+        assert len(names) == 2
+        assert not names[0].startswith(REPLAY_PREFIX)
+        assert names[1].startswith(REPLAY_PREFIX + "lazy:")
+        (replay,) = [r for r in get_device().profiler.records if r.members]
+        assert [m[0] for m in replay.members] == [names[0]] * 2
 
     def test_replay_charges_one_overhead(self):
+        u, v = _vectors()
+        _loop([_ewise(ops.ewise_add, PLUS, u, v)] * 3)
         dev = get_device()
-        k1, k2 = _kernel("ka"), _kernel("kb")
         overhead = dev.props.launch_overhead_us
-        dt1 = dev.cost_model.kernel_time_us(k1.work())
-        dt2 = dev.cost_model.kernel_time_us(k2.work())
-        g = KernelGraph("unit")
-        for _ in range(2):
-            with g.iteration():
-                launch(k1, LaunchConfig.cover(1 << 18))
-                launch(k2, LaunchConfig.cover(1 << 18))
-        replay = [r for r in dev.profiler.records if r.name.startswith("graph_replay")]
-        assert len(replay) == 1
-        expected = overhead + (dt1 - overhead) + (dt2 - overhead)
-        assert replay[0].duration_us == pytest.approx(expected)
-        assert g.stats.overhead_saved_us == pytest.approx(overhead)
+        plain, replay = [r for r in dev.profiler.records if r.kind == "kernel"]
+        # One launch overhead for the whole aggregate, plus each member's
+        # busy time — which is the plain launch minus its overhead.
+        assert replay.duration_us == pytest.approx(
+            overhead + 2 * (plain.duration_us - overhead)
+        )
+        assert sum(m[1] for m in replay.members) == pytest.approx(
+            replay.duration_us - overhead
+        )
 
     def test_sequence_divergence_recaptures(self):
-        dev = get_device()
-        k1, k2, k3 = _kernel("ka"), _kernel("kb"), _kernel("kc")
-        g = KernelGraph("unit")
-        with g.iteration():
-            launch(k1, LaunchConfig.cover(1 << 18))
-        with g.iteration():  # diverges: charged per-kernel, re-captured
-            launch(k2, LaunchConfig.cover(1 << 18))
-            launch(k3, LaunchConfig.cover(1 << 18))
-        with g.iteration():  # matches the new signature: replay
-            launch(k2, LaunchConfig.cover(1 << 18))
-            launch(k3, LaunchConfig.cover(1 << 18))
-        assert g.stats.captures == 2
-        assert g.stats.replays == 1
-        names = [r.name for r in dev.profiler.records if r.kind == "kernel"]
-        assert names == ["ka", "kb", "kc", "graph_replay[unit]"]
+        u, v = _vectors()
+        add = _ewise(ops.ewise_add, PLUS, u, v)
+        mult = _ewise(ops.ewise_mult, TIMES, u, v)
+        names = _loop([add, mult, mult, mult])
+        # A new signature is charged kernel by kernel as its own capture;
+        # only its repeats aggregate.
+        assert len(names) == 3
+        assert not _replays(names[:2])
+        assert names[0] != names[1]
+        (replay,) = [r for r in get_device().profiler.records if r.members]
+        assert [m[0] for m in replay.members] == [names[1]] * 2
 
     def test_replay_preserves_semantics(self):
         # The semantic function must run on every iteration, replay or not.
-        calls = []
-        k = Kernel(
-            name="count",
-            run=lambda: calls.append(1),
-            work=lambda: KernelWork(flops=1e6, bytes_read=8e5, threads=1 << 18),
-        )
-        g = KernelGraph("unit")
-        for _ in range(4):
-            with g.iteration():
-                launch(k, LaunchConfig.cover(1 << 18))
-        assert len(calls) == 4
+        u, _ = _vectors()
+        acc = gb.Vector.from_dense(np.arange(1.0, 9.0))
 
-    def test_disabled_graphs_use_null_graph(self):
+        def step():
+            ops.ewise_add(acc, acc, u, PLUS)
+            acc.nvals
+
+        names = _loop([step] * 4)
+        assert len(_replays(names)) == 1
+        assert acc.to_lists()[1] == [5.0 * x for x in range(1, 9)]
+
+    def test_reuse_disabled_turns_capture_off(self):
+        u, v = _vectors()
         with reuse.reuse_disabled():
-            g = get_backend("cuda_sim").kernel_graph("x")
-        with g.iteration():
-            pass
-        assert g.stats.captures == 0 and g.stats.replays == 0
+            assert not reuse.graphs_enabled()
+            assert not pass_enabled("capture")
+            names = _loop([_ewise(ops.ewise_add, PLUS, u, v)] * 3)
+        assert reuse.graphs_enabled()
+        assert len(names) == 3 and not _replays(names)
 
 
 # ---------------------------------------------------------------------------

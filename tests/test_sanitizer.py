@@ -1,9 +1,10 @@
 """gbsan: planted hazards must be caught; clean workloads must stay clean.
 
 Each planted-hazard test constructs the minimal buggy interaction pattern
-directly against the gpu layer (streams, residency, allocator, graphs) and
-asserts both that the sanitizer reports the expected hazard class and that
-the diagnostic message carries enough context to act on.  The zero-FP tests
+directly against the gpu layer (streams, residency, allocator) or the lazy
+loop capture, and asserts both that the sanitizer reports the expected
+hazard class and that the diagnostic message carries enough context to act
+on.  The zero-FP tests
 run real algorithm workloads on every simulated backend and assert gbsan
 stays silent (the full tier-1 suite enforces the same through the autouse
 fixture in conftest.py whenever ``GBSAN=1``).
@@ -18,16 +19,20 @@ import repro as gb
 from repro import sanitizer as sz
 from repro.backends.dispatch import get_backend, use_backend
 from repro.exceptions import SanitizerError
+from repro.core import operations as ops
+from repro.core.semiring import PLUS_TIMES
 from repro.gpu.costmodel import KernelWork
-from repro.gpu.device import Device
-from repro.gpu.graph import KernelGraph
+from repro.gpu.device import Device, get_device, reset_device
+from repro.gpu.graph import REPLAY_PREFIX
 from repro.gpu.kernel import Kernel, LaunchConfig, launch
 from repro.gpu.residency import ResidentSet
 from repro.gpu.stream import Stream
 from repro.gpu import reuse
+from repro.lazy import capture, lazy_disabled, lazy_enabled
 from repro.sanitizer import runtime as _runtime
 from repro.sanitizer.access import Access
 from repro.sanitizer.lint import lint_source
+from repro.streaming import CompactionPolicy, DynamicGraph
 
 pytestmark = pytest.mark.no_multi_sim
 
@@ -206,37 +211,105 @@ class TestPoolLifetime:
 
 
 # ---------------------------------------------------------------------------
-# Hazard 4: stale kernel-graph replay
+# Hazard 4: stale loop replay (lazy capture)
 # ---------------------------------------------------------------------------
 
 
+def _mxv_loop(a, u, between, iters=3):
+    """One recorded mxv per lazy flush on cuda_sim; ``between(i)`` runs
+    after iteration ``i``.  Returns each iteration's result and the kernel
+    record names."""
+    get_backend("cuda_sim").evict_all()
+    reset_device()
+    out = []
+    with use_backend("cuda_sim"), lazy_enabled():
+        for i in range(iters):
+            w = gb.Vector.sparse(gb.FP64, a.nrows)
+            ops.mxv(w, a, u, PLUS_TIMES)
+            out.append(w.to_lists())
+            between(i)
+    names = [r.name for r in get_device().profiler.records if r.kind == "kernel"]
+    return out, names
+
+
+def _dense_graph(n=8, seed=0):
+    rng = np.random.default_rng(seed)
+    return (
+        gb.Matrix.from_dense(rng.uniform(1, 9, (n, n))),
+        gb.Vector.from_dense(rng.uniform(1, 9, n)),
+    )
+
+
+def _plain(names):
+    return [n for n in names if not n.startswith(REPLAY_PREFIX)]
+
+
 class TestGraphReplayChecker:
-    def test_replay_after_reupload_is_stale(self, dev, san):
-        c = _vec()
-        rs = ResidentSet(lambda: dev)
-        rs.ensure(c)
-        g = KernelGraph("iter", device=dev)
-        with g.iteration():
-            launch(NOP, CFG, device=dev, san_reads=(c,))  # capture
-        c.bump_version()
-        rs.ensure(c)  # host mutated: re-upload lands in a NEW device buffer
-        with g.iteration():
-            launch(NOP, CFG, device=dev, san_reads=(c,))  # replayed
+    @pytest.mark.parametrize("event", ["host_mutation", "evict_all"])
+    def test_rebind_reinstantiates_clean(self, san, event):
+        a, u = _dense_graph()
+
+        def between(i):
+            if i != 0:
+                return
+            if event == "host_mutation":
+                a.set_element(0, 0, 2.0)  # re-upload into a NEW device buffer
+            else:
+                get_backend("cuda_sim").evict_all()
+
+        out, names = _mxv_loop(a, u, between)
+        with lazy_disabled():
+            w = gb.Vector.sparse(gb.FP64, a.nrows)
+            ops.mxv(w, a, u, PLUS_TIMES)
+        assert out[-1] == w.to_lists()
+        # Capture, then the rebound iteration re-instantiates (charged
+        # plainly), then the third iteration replays the new bindings.
+        assert len(_plain(names)) == 2
+        assert len(names) == 3
+        assert san.findings == [], san.report()
+
+    def test_compaction_keeps_binding_clean(self, san):
+        a, u = _dense_graph()
+        dg = DynamicGraph(a, CompactionPolicy(never=True))
+
+        def between(i):
+            if i < 2:  # the oracle below reads the graph after iteration 2
+                dg.insert_edges([0], [1], [float(i + 3)])
+                dg.compact()  # merged on-device into the same buffer
+
+        out, names = _mxv_loop(dg.matrix, u, between)
+        with lazy_disabled():
+            w = gb.Vector.sparse(gb.FP64, a.nrows)
+            ops.mxv(w, dg.snapshot(), u, PLUS_TIMES)
+        assert out[-1] == w.to_lists()
+        assert out[-1] != out[0]  # the replays saw the compacted values
+        # Compaction keeps the container and its device buffer, so the
+        # binding holds: one captured product, the rest replayed.
+        assert [n for n in _plain(names) if "compact" not in n] == [names[0]]
+        assert names[-1].startswith(REPLAY_PREFIX)
+        assert san.findings == [], san.report()
+
+    def test_replay_after_reupload_is_stale(self, san, monkeypatch):
+        # Planted: bypass the capture layer's rebind re-instantiation, so
+        # the loop replays although its matrix moved to a new buffer.
+        monkeypatch.setattr(capture.Loop, "_rebound", lambda self: False)
+        a, u = _dense_graph()
+
+        def between(i):
+            a.set_element(0, 0, float(i + 2))
+
+        _mxv_loop(a, u, between)
         assert "stale-replay" in kinds(san)
         f = next(f for f in san.findings if f.kind == "stale-replay")
-        assert "re-instantiate" in f.message and "iter" in f.site
+        assert "re-instantiate" in f.message and "loop[" in f.site
         san.drain()
 
-    def test_stable_buffers_replay_clean(self, dev, san):
-        c = _vec()
-        rs = ResidentSet(lambda: dev)
-        rs.ensure(c)
-        g = KernelGraph("iter", device=dev)
-        for _ in range(3):
-            with g.iteration():
-                launch(NOP, CFG, device=dev, san_reads=(c,))
+    def test_stable_buffers_replay_clean(self, san):
+        a, u = _dense_graph()
+        _, names = _mxv_loop(a, u, lambda i: None, iters=4)
         assert san.findings == []
-        assert g.stats.replays >= 1
+        assert len(_plain(names)) == 1
+        assert get_device().profiler.replay_count == 1
 
 
 # ---------------------------------------------------------------------------

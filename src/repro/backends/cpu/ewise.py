@@ -1,9 +1,10 @@
 """Vectorized elementwise kernels (eWiseAdd / eWiseMult).
 
 Both operands are canonical (sorted, unique indices), so union and
-intersection are merge problems solved with ``searchsorted`` — no hashing,
-no Python loops.  Matrices reduce to the vector kernels via flat row-major
-keys.
+intersection are index merges done by :mod:`repro.containers.probe` —
+a dense bitmap and slot map, no hashing, no binary search.  Matrices
+reduce to the vector kernels via flat row-major keys (domain
+``nrows * ncols``).
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from ...containers.csr import CSRMatrix
+from ...containers.probe import probe
 from ...containers.sparsevec import SparseVector
+from ...core.accumulate import union_apply
 from ...core.operators import BinaryOp
-from ...types import GrBType, promote
+from ...types import promote
 
 __all__ = [
     "ewise_add_indexed",
@@ -25,16 +28,6 @@ __all__ = [
 ]
 
 
-def _membership(haystack: np.ndarray, needles: np.ndarray):
-    """(present, position) of each needle in a sorted unique haystack."""
-    pos = np.searchsorted(haystack, needles)
-    if haystack.size == 0:
-        return np.zeros(needles.size, dtype=bool), pos
-    pos_c = np.minimum(pos, haystack.size - 1)
-    present = (haystack[pos_c] == needles) & (pos < haystack.size)
-    return present, pos
-
-
 def ewise_add_indexed(
     u_idx: np.ndarray,
     u_vals: np.ndarray,
@@ -42,22 +35,10 @@ def ewise_add_indexed(
     v_vals: np.ndarray,
     op: BinaryOp,
     out_dtype: np.dtype,
+    domain: int,
 ):
-    """Union merge over sorted index arrays. Returns (indices, values)."""
-    union = np.union1d(u_idx, v_idx)
-    out = np.empty(union.size, dtype=out_dtype)
-    in_u, pos_u = _membership(u_idx, union)
-    in_v, pos_v = _membership(v_idx, union)
-    only_u = in_u & ~in_v
-    only_v = in_v & ~in_u
-    both = in_u & in_v
-    if only_u.any():
-        out[only_u] = u_vals[pos_u[only_u]]
-    if only_v.any():
-        out[only_v] = v_vals[pos_v[only_v]]
-    if both.any():
-        out[both] = np.asarray(op(u_vals[pos_u[both]], v_vals[pos_v[both]]))
-    return union, out
+    """Union merge over sorted index arrays in ``[0, domain)``."""
+    return union_apply(u_idx, u_vals, v_idx, v_vals, op, out_dtype, domain)
 
 
 def ewise_mult_indexed(
@@ -67,16 +48,17 @@ def ewise_mult_indexed(
     v_vals: np.ndarray,
     op: BinaryOp,
     out_dtype: np.dtype,
+    domain: int,
 ):
-    """Intersection merge over sorted index arrays."""
+    """Intersection merge over sorted index arrays in ``[0, domain)``."""
     if u_idx.size > v_idx.size:
-        # Search the smaller set in the larger one.
-        present, pos = _membership(u_idx, v_idx)
+        # Probe the smaller set against the larger one.
+        present, pos = probe(u_idx, v_idx, domain)
         idx = v_idx[present]
         lhs = u_vals[pos[present]]
         rhs = v_vals[present]
     else:
-        present, pos = _membership(v_idx, u_idx)
+        present, pos = probe(v_idx, u_idx, domain)
         idx = u_idx[present]
         lhs = u_vals[present]
         rhs = v_vals[pos[present]]
@@ -89,7 +71,7 @@ def ewise_mult_indexed(
 def ewise_add_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
     out_t = op.result_type(promote(u.type, v.type))
     idx, vals = ewise_add_indexed(
-        u.indices, u.values, v.indices, v.values, op, out_t.dtype
+        u.indices, u.values, v.indices, v.values, op, out_t.dtype, u.size
     )
     return SparseVector(u.size, idx, vals, out_t)
 
@@ -97,39 +79,24 @@ def ewise_add_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVecto
 def ewise_mult_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
     out_t = op.result_type(promote(u.type, v.type))
     idx, vals = ewise_mult_indexed(
-        u.indices, u.values, v.indices, v.values, op, out_t.dtype
+        u.indices, u.values, v.indices, v.values, op, out_t.dtype, u.size
     )
     return SparseVector(u.size, idx, vals, out_t)
-
-
-def _mat_keys(a: CSRMatrix) -> np.ndarray:
-    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-    return rows * np.int64(a.ncols) + a.indices
-
-
-def _keys_to_csr(
-    keys: np.ndarray, vals: np.ndarray, nrows: int, ncols: int, out_t: GrBType
-) -> CSRMatrix:
-    rows = keys // ncols if ncols else keys
-    cols = keys - rows * ncols if ncols else keys
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    if rows.size:
-        np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSRMatrix(nrows, ncols, indptr, cols, vals, out_t)
 
 
 def ewise_add_mat(a: CSRMatrix, b: CSRMatrix, op: BinaryOp) -> CSRMatrix:
     out_t = op.result_type(promote(a.type, b.type))
     keys, vals = ewise_add_indexed(
-        _mat_keys(a), a.values, _mat_keys(b), b.values, op, out_t.dtype
+        a.flat_keys(), a.values, b.flat_keys(), b.values, op, out_t.dtype,
+        a.nrows * a.ncols,
     )
-    return _keys_to_csr(keys, vals, a.nrows, a.ncols, out_t)
+    return CSRMatrix.from_flat_keys(a.nrows, a.ncols, keys, vals, out_t)
 
 
 def ewise_mult_mat(a: CSRMatrix, b: CSRMatrix, op: BinaryOp) -> CSRMatrix:
     out_t = op.result_type(promote(a.type, b.type))
     keys, vals = ewise_mult_indexed(
-        _mat_keys(a), a.values, _mat_keys(b), b.values, op, out_t.dtype
+        a.flat_keys(), a.values, b.flat_keys(), b.values, op, out_t.dtype,
+        a.nrows * a.ncols,
     )
-    return _keys_to_csr(keys, vals, a.nrows, a.ncols, out_t)
+    return CSRMatrix.from_flat_keys(a.nrows, a.ncols, keys, vals, out_t)

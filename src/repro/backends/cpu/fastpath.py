@@ -34,6 +34,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ...containers.probe import _slots as _probe_slots
 from ...core.monoid import Monoid
 from ...core.semiring import Semiring
 from ...types import from_dtype
@@ -55,9 +56,9 @@ __all__ = [
 # Reusable scratch workspaces
 # ---------------------------------------------------------------------------
 #
-# Kernel-sized temporaries (the SpGEMM expansion, mask probes) are the hot
-# path's dominant allocations: several MB per call, returned to the OS on
-# free, re-faulted on the next call.  Keeping one grow-only buffer per role
+# Kernel-sized temporaries (the SpGEMM expansion) are the hot path's
+# dominant allocations: several MB per call, returned to the OS on free,
+# re-faulted on the next call.  Keeping one grow-only buffer per role
 # makes the pages stay resident — the CPU mirror of a GPU backend's
 # persistent device workspace.  Buffers are keyed by (tag, dtype); a view of
 # the requested size is returned and is valid only until the next request
@@ -78,19 +79,8 @@ def scratch(tag: str, size: int, dtype) -> np.ndarray:
 
 
 def mask_slot_map(keyspace: int) -> np.ndarray:
-    """Zero-filled int32 map over the output keyspace, reused across calls.
-
-    Callers scatter ``slot + 1`` at allowed keys, probe, and MUST restore
-    the written entries to zero before returning (the all-zeros invariant is
-    what makes reuse O(nnz(mask)) instead of O(keyspace) per call).
-    """
-    key = ("mask_slot_map", np.dtype(np.int32))
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.size < keyspace:
-        cap = 1 << max(10, int(keyspace - 1).bit_length() if keyspace > 1 else 0)
-        buf = np.zeros(cap, dtype=np.int32)
-        _SCRATCH[key] = buf
-    return buf[:keyspace]
+    """The probe slot map; only ``perfbench/spans.py`` still names this."""
+    return _probe_slots(keyspace)[:keyspace]
 
 
 # ---------------------------------------------------------------------------

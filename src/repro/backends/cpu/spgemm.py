@@ -9,15 +9,13 @@ Two refinements over the classic expand–sort–reduce:
 
 - **Mask fusion**: the masked kernel tests every expanded coordinate
   against the mask *before* computing any product value.  Membership and
-  slot lookup are one fused gather through a dense int32 *slot map* over
-  the output keyspace (``slot + 1`` at allowed keys, zero elsewhere) when
-  that fits, falling back to ``searchsorted`` against the sorted allowed
-  keys.  Surviving entries are reduced into a dense accumulator indexed by
-  the mask-slot number — the CPU mirror of bounding hash-table writes by
-  the mask in a GPU kernel — so nothing outside the mask is ever
-  multiplied, sorted, or written.  The slot map and the expansion arrays
-  live in reusable :func:`~.fastpath.scratch` workspaces, so steady-state
-  calls allocate nothing proportional to the FLOP count.
+  slot lookup are one fused :func:`~repro.containers.probe.probe` of the
+  allowed keys over the output keyspace (a dense slot-map gather).
+  Surviving entries are reduced into a dense accumulator indexed by the
+  mask-slot number — the CPU mirror of bounding hash-table writes by the
+  mask in a GPU kernel — so nothing outside the mask is ever multiplied,
+  sorted, or written.  The expansion arrays live in reusable
+  :func:`~.fastpath.scratch` workspaces.
 - **Sort-free reduce**: grouped reduction lowers onto the
   :mod:`.fastpath` dense-accumulator strategies for standard monoids; the
   stable sort + ``segment_reduce`` remains the generic fallback and is
@@ -33,14 +31,15 @@ from typing import Optional
 import numpy as np
 
 from ...containers.csr import CSRMatrix
+from ...containers.probe import probe
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
+from ...core.mask import mask_truthy
 from ...core.semiring import Semiring
 from ...types import GrBType
 from .fastpath import (
     dense_keyspace_ok,
     fast_reduce_by_key,
-    mask_slot_map,
     reduce_strategy,
     scratch,
 )
@@ -54,12 +53,6 @@ __all__ = [
     "expand_structure",
     "mask_keys_for",
 ]
-
-# The mask slot map is four bytes per output cell; cap its footprint
-# (128 MB) and require the expansion to be large enough to amortise the
-# one-time zeroing (steady-state reuse costs only O(nnz(mask)) per call).
-_SLOT_MAP_CAP = 1 << 25
-
 
 def expand_structure(a: CSRMatrix, b: CSRMatrix):
     """Coordinates of all partial products of ``A ⊗ B`` — values untouched.
@@ -97,29 +90,7 @@ def mask_keys_for(mask: CSRMatrix, desc: Descriptor) -> np.ndarray:
     callers must check ``desc.complement_mask`` before using this (a
     complemented mask cannot prune this way).
     """
-    rows = np.repeat(np.arange(mask.nrows, dtype=np.int64), mask.row_degrees())
-    keys = rows * np.int64(mask.ncols) + mask.indices
-    if desc.structural_mask:
-        return keys
-    return keys[mask.values.astype(bool)]
-
-
-def _csr_from_flat(nrows, ncols, out_keys, out_vals, out_type) -> CSRMatrix:
-    """Assemble canonical CSR from sorted unique flat keys + reduced values."""
-    out_rows = out_keys // ncols
-    out_cols = out_keys - out_rows * ncols
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    if out_rows.size:
-        np.add.at(indptr, out_rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSRMatrix(
-        nrows,
-        ncols,
-        indptr,
-        out_cols,
-        np.asarray(out_vals).astype(out_type.dtype, copy=False),
-        out_type,
-    )
+    return mask_truthy(mask.flat_keys(), mask.values, desc.structural_mask)
 
 
 def _sorted_reduce_flat(nrows, ncols, keys, prods, semiring, out_type) -> CSRMatrix:
@@ -141,13 +112,13 @@ def _sorted_reduce_flat(nrows, ncols, keys, prods, semiring, out_type) -> CSRMat
     if fn is not None:
         uniq, inv = np.unique(keys, return_inverse=True)
         acc = fn(inv.astype(np.int64, copy=False), prods, uniq.size, semiring.add)
-        return _csr_from_flat(nrows, ncols, uniq, acc, out_type)
+        return CSRMatrix.from_flat_keys(nrows, ncols, uniq, acc, out_type)
     order = np.argsort(keys, kind="stable")  # gbsan: ok(argsort) -- generic fallback; hot shapes take the sort-free fastpath
     keys = keys[order]
     prods = prods[order]
     starts = run_starts(keys)
     out_vals = segment_reduce(prods, starts, semiring.add, out_type.dtype)
-    return _csr_from_flat(nrows, ncols, keys[starts], out_vals, out_type)
+    return CSRMatrix.from_flat_keys(nrows, ncols, keys[starts], out_vals, out_type)
 
 
 def _expand_keys_ws(a: CSRMatrix, b: CSRMatrix):
@@ -234,43 +205,22 @@ def spgemm_masked_esr(
     expanded = _expand_keys_ws(a, b)
     if expanded is None:
         return CSRMatrix.empty(a.nrows, b.ncols, out_type)
-    keys, a_take, b_take, total = expanded
-    keyspace = int(a.nrows) * int(b.ncols)
+    keys, a_take, b_take, _ = expanded
     nslots = allowed_keys.size
-    use_map = (
-        keyspace <= _SLOT_MAP_CAP
-        and keyspace <= 64 * total + (1 << 20)
-        and nslots < np.iinfo(np.int32).max
-    )
-    if use_map:
-        # Fused membership + slot lookup: one gather through the dense slot
-        # map (slot + 1 at allowed keys, 0 elsewhere) answers both "is this
-        # coordinate allowed" and "which accumulator slot" — O(1) per probe.
-        slot_map = mask_slot_map(keyspace)
-        slot_map[allowed_keys] = np.arange(1, nslots + 1, dtype=np.int32)
-        try:
-            probe = scratch("spgemm.probe", total, np.int32)
-            np.take(slot_map, keys, out=probe)
-        finally:
-            slot_map[allowed_keys] = 0  # restore the all-zeros invariant
-        if _pair_count_ok(semiring, a, out_type):
-            # Counting semiring: the reduction is a histogram of slots —
-            # no value gather, no multiply, no accumulator scatter.
-            counts = np.bincount(probe, minlength=nslots + 1)[1:]
-            idx = np.flatnonzero(counts).astype(np.int64)
-            if idx.size == 0:
-                return CSRMatrix.empty(a.nrows, b.ncols, out_type)
-            return _csr_from_flat(
-                a.nrows, b.ncols, allowed_keys[idx], counts[idx], out_type
-            )
-        keep = probe != 0
-        slots = probe[keep].astype(np.int64)
-        slots -= 1
-    else:
-        pos = np.searchsorted(allowed_keys, keys)
-        pos_c = np.minimum(pos, nslots - 1)
-        keep = (allowed_keys[pos_c] == keys) & (pos < nslots)
-        slots = pos[keep]
+    # Fused membership + slot lookup: one slot-map probe answers both "is
+    # this coordinate allowed" and "which accumulator slot".
+    keep, pos = probe(allowed_keys, keys, int(a.nrows) * int(b.ncols))
+    slots = pos[keep]
+    if _pair_count_ok(semiring, a, out_type):
+        # Counting semiring: the reduction is a histogram of slots — no
+        # value gather, no multiply, no accumulator scatter.
+        counts = np.bincount(slots, minlength=nslots)
+        idx = np.flatnonzero(counts).astype(np.int64)
+        if idx.size == 0:
+            return CSRMatrix.empty(a.nrows, b.ncols, out_type)
+        return CSRMatrix.from_flat_keys(
+            a.nrows, b.ncols, allowed_keys[idx], counts[idx], out_type
+        )
     if slots.size == 0:
         return CSRMatrix.empty(a.nrows, b.ncols, out_type)
     # Only surviving coordinates are ever multiplied.
@@ -283,7 +233,7 @@ def spgemm_masked_esr(
     fast = fast_reduce_by_key(slots, prods, nslots, semiring.add)
     if fast is not None:
         slot_idx, out_vals = fast
-        return _csr_from_flat(
+        return CSRMatrix.from_flat_keys(
             a.nrows, b.ncols, allowed_keys[slot_idx], out_vals, out_type
         )
     return _sorted_reduce_flat(
@@ -310,5 +260,5 @@ def spgemm_esr(
         fast = fast_reduce_by_key(keys, prods, keyspace, semiring.add)
         if fast is not None:
             out_keys, out_vals = fast
-            return _csr_from_flat(a.nrows, b.ncols, out_keys, out_vals, out_type)
+            return CSRMatrix.from_flat_keys(a.nrows, b.ncols, out_keys, out_vals, out_type)
     return _sorted_reduce_flat(a.nrows, b.ncols, keys, prods, semiring, out_type)

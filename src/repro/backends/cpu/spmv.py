@@ -3,7 +3,8 @@
 Two strategies, the classic GBTL-CUDA/direction-optimizing pair:
 
 - **pull** (row gather): for each output row, intersect the matrix row with
-  the input vector.  Cost ~O(nnz(A)) independent of frontier size, but a
+  the input vector (a slot-map :func:`~repro.containers.probe.probe`, no
+  search).  Cost ~O(nnz(A)) independent of frontier size, but a
   non-complemented mask restricts the computed rows — the pull-BFS win.
 - **push** (column scatter): expand only the rows of the (logically
   transposed) matrix selected by the input vector's present entries, then
@@ -24,9 +25,10 @@ import numpy as np
 
 from ...containers.csc import CSCMatrix
 from ...containers.csr import CSRMatrix
+from ...containers.probe import probe
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
-from ...core.mask import vector_mask_at
+from ...core.mask import mask_truthy, vector_mask_at
 from ...core.semiring import Semiring
 from ...types import GrBType
 from .fastpath import dense_keyspace_ok, fast_reduce_by_key
@@ -65,9 +67,7 @@ def mask_row_candidates(
     """Rows a non-complemented mask allows, or None when pruning is unsafe."""
     if mask is None or desc.complement_mask:
         return None
-    if desc.structural_mask:
-        return mask.indices
-    return mask.indices[mask.values.astype(bool)]
+    return mask_truthy(mask.indices, mask.values, desc.structural_mask)
 
 
 def mask_pull_rows(
@@ -83,13 +83,9 @@ def mask_pull_rows(
     """
     if mask is None:
         return None
+    truthy = mask_truthy(mask.indices, mask.values, desc.structural_mask)
     if not desc.complement_mask:
-        return mask_row_candidates(mask, desc)
-    truthy = (
-        mask.indices
-        if desc.structural_mask
-        else mask.indices[mask.values.astype(bool)]
-    )
+        return truthy
     if truthy.size * 4 < nrows:
         return None
     allowed = np.ones(nrows, dtype=bool)
@@ -132,12 +128,9 @@ def row_gather_product(
         prods = np.asarray(_products(flat_vals, u.values[flat_idx], semiring, flip))
         keys = row_ids
     else:
-        # Membership of each stored column in u (both sides sorted per row;
-        # u global-sorted, so searchsorted per element is exact).
-        pos = np.searchsorted(u.indices, flat_idx)
-        pos_c = np.minimum(pos, u.indices.size - 1)
-        hit = u.indices[pos_c] == flat_idx
-        hit &= pos < u.indices.size
+        # Membership of each stored column in u: one slot-map probe over
+        # u's index domain, O(nnz(u) + stored columns) with no search.
+        hit, pos = probe(u.indices, flat_idx, u.size)
         if not hit.any():
             return SparseVector.empty(n_out, out_type)
         prods = np.asarray(

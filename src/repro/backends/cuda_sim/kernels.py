@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from ...containers.csr import CSRMatrix
+from ...containers.probe import contains
 from ...containers.sparsevec import SparseVector
 from ...core.monoid import Monoid
 from ...core.operators import BinaryOp, UnaryOp
@@ -459,7 +460,7 @@ def mask_restrict(container: SparseVector, mask: SparseVector) -> SparseVector:
     """
     if mask.nvals >= container.nvals or container.nvals == 0:
         return container
-    keep = np.isin(container.indices, mask.indices)
+    keep = contains(mask.indices, container.indices, container.size)
     if keep.all():
         return container
     return SparseVector(

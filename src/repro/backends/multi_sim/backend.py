@@ -37,6 +37,7 @@ produce bit-identical results on 1–8 simulated devices.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Optional
 
 import numpy as np
@@ -105,6 +106,26 @@ def _noop() -> None:
 _EXACT_ADDS = frozenset({"MIN", "MAX", "LOR", "LAND", "BOR", "BAND", "ANY"})
 
 
+def _memo_put(memo: dict, c, *payload) -> None:
+    """``memo[id(c)] = (weakref, version, *payload)``, dropped when ``c``
+    is collected: one entry per live container, none for a recycled id."""
+    key = id(c)
+
+    def drop(ref: weakref.ref) -> None:
+        if memo.get(key, (None,))[0] is ref:
+            del memo[key]
+
+    memo[key] = (weakref.ref(c, drop), c.version, *payload)
+
+
+def _memo_get(memo: dict, c) -> Optional[tuple]:
+    """``c``'s entry in a :func:`_memo_put` memo if it is version-current."""
+    hit = memo.get(id(c))
+    if hit is not None and hit[0]() is c and hit[1] == c.version:
+        return hit
+    return None
+
+
 class MultiSimBackend(Backend):
     """GraphBLAS kernels sharded across P simulated devices."""
 
@@ -122,10 +143,10 @@ class MultiSimBackend(Backend):
         self.topology = topology
         self.props = props
         self._cluster = SimCluster(self.nparts, props, topology)
-        # Partition memos, keyed by id(matrix): (ref, version, PartitionedCSR).
+        # Partition memos, keyed by id(matrix): (weakref, version, PartitionedCSR).
         self._parts: dict = {}
         self._tparts: dict = {}
-        # Containers whose devices hold only their owned slice: id -> (ref, version).
+        # Containers whose devices hold only their owned slice: id -> (weakref, version).
         self._sliced: dict = {}
 
     # ------------------------------------------------------------------
@@ -190,15 +211,10 @@ class MultiSimBackend(Backend):
     # ------------------------------------------------------------------
 
     def _is_sliced(self, c) -> bool:
-        hit = self._sliced.get(id(c))
-        return hit is not None and hit[0] is c and hit[1] == c.version
+        return _memo_get(self._sliced, c) is not None
 
     def _mark_sliced(self, c) -> None:
-        if len(self._sliced) >= 1024:
-            self._sliced = {
-                k: v for k, v in self._sliced.items() if v[0].version == v[1]
-            }
-        self._sliced[id(c)] = (c, c.version)
+        _memo_put(self._sliced, c)
         san = _gbsan.ACTIVE
         if san is not None:
             # Each device holds its owned slice: give every device a derived
@@ -272,12 +288,12 @@ class MultiSimBackend(Backend):
 
     def _row_parts(self, a: CSRMatrix) -> PartitionedCSR:
         """Row-sharded view of ``a``, with each shard resident on its device."""
-        hit = self._parts.get(id(a))
-        if hit is not None and hit[0] is a and hit[1] == a.version:
+        hit = _memo_get(self._parts, a)
+        if hit is not None:
             part = hit[2]
         else:
             part = PartitionedCSR(a, self.nparts, self.splitter)
-            self._parts[id(a)] = (a, a.version, part)
+            _memo_put(self._parts, a, part)
         sliced = self._is_sliced(a)
         for ex, shard in zip(self._cluster.executors, part.shards):
             if sliced:
@@ -294,8 +310,8 @@ class MultiSimBackend(Backend):
         the *distributed* cost charged here is each device sorting its edge
         block plus one all-to-all shuffling edges to their new owners.
         """
-        hit = self._tparts.get(id(a))
-        if hit is not None and hit[0] is a and hit[1] == a.version:
+        hit = _memo_get(self._tparts, a)
+        if hit is not None:
             part = hit[2]
             for ex, shard in zip(self._cluster.executors, part.shards):
                 ex._mark_resident(shard)
@@ -319,7 +335,7 @@ class MultiSimBackend(Backend):
         for ex, shard in zip(self._cluster.executors, part.shards):
             ex._mark_resident(shard)
         if reuse.aux_cache_enabled():
-            self._tparts[id(a)] = (a, a.version, part)
+            _memo_put(self._tparts, a, part)
         return part
 
     # ------------------------------------------------------------------

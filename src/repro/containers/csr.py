@@ -214,6 +214,21 @@ class CSRMatrix:
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
         return COO(self.nrows, self.ncols, rows, self.indices.copy(), self.values.copy(), self.type)
 
+    def flat_keys(self) -> np.ndarray:
+        """Row-major keys ``row * ncols + col`` of the stored entries."""
+        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
+        return rows * np.int64(self.ncols) + self.indices
+
+    @classmethod
+    def from_flat_keys(
+        cls, nrows: int, ncols: int, keys: np.ndarray, values, typ: GrBType
+    ) -> "CSRMatrix":
+        """Inverse of :meth:`flat_keys` for sorted unique ``keys``."""
+        rows = keys // ncols if ncols else keys
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+        return cls(nrows, ncols, indptr, keys - rows * ncols, values, typ)
+
     def to_dense(self, fill=0) -> np.ndarray:
         """Dense 2-D array with ``fill`` at implicit positions."""
         out = np.full((self.nrows, self.ncols), fill, dtype=self.type.dtype)

@@ -26,13 +26,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..containers.csr import CSRMatrix
+from ..containers.probe import union_merge
 from ..containers.sparsevec import SparseVector
 from ..types import GrBType, promote
 from .descriptor import DEFAULT, Descriptor
-from .mask import check_mask_shape, flat_keys, matrix_mask_at, vector_mask_at
+from .mask import check_mask_shape, matrix_mask_at, vector_mask_at
 from .operators import BinaryOp
 
-__all__ = ["merge_vector", "merge_matrix"]
+__all__ = ["merge_vector", "merge_matrix", "merge_disjoint", "union_apply"]
 
 
 def _note_result(container):
@@ -68,6 +69,32 @@ def _trivial_merge(mask, accum, desc: Descriptor) -> bool:
     return mask is None and accum is None and reuse.elision_enabled()
 
 
+def union_apply(a_idx, a_vals, b_idx, b_vals, op, out_dtype, domain: int):
+    """Union merge of two canonical (index, value) sets in ``[0, domain)``:
+    lone entries pass through, shared indices get ``op(a, b)`` (if any)."""
+    union, a_at, b_at = union_merge(a_idx, b_idx, domain)
+    out = np.empty(union.size, dtype=out_dtype)
+    out[a_at] = a_vals
+    out[b_at] = b_vals
+    if union.size < a_idx.size + b_idx.size:
+        in_a = np.zeros(union.size, dtype=bool)
+        in_a[a_at] = True
+        in_b = np.zeros(union.size, dtype=bool)
+        in_b[b_at] = True
+        # Shared indices, ascending on both sides, pair up in order.
+        shared_b = in_a[b_at]
+        out[b_at[shared_b]] = np.asarray(op(a_vals[in_b[a_at]], b_vals[shared_b]))
+    return union, out
+
+
+def merge_disjoint(a_idx, a_vals, b_idx, b_vals):
+    """Sorted merge of two canonical (index, value) sets with no shared index
+    (a stable sort of two sorted runs is one linear merge)."""
+    idx = np.concatenate([a_idx, b_idx])
+    order = np.argsort(idx, kind="stable")
+    return idx[order], np.concatenate([a_vals, b_vals])[order]
+
+
 def _accumulate(
     c_idx: np.ndarray,
     c_vals: np.ndarray,
@@ -75,28 +102,12 @@ def _accumulate(
     t_vals: np.ndarray,
     accum: Optional[BinaryOp],
     out_dtype: np.dtype,
+    domain: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Union-merge (C, T) under ``accum`` over sorted index arrays."""
     if accum is None:
         return t_idx, t_vals.astype(out_dtype, copy=False)
-    union = np.union1d(c_idx, t_idx)
-    out = np.empty(union.size, dtype=out_dtype)
-    in_c = np.isin(union, c_idx, assume_unique=True)
-    in_t = np.isin(union, t_idx, assume_unique=True)
-    only_c = in_c & ~in_t
-    only_t = in_t & ~in_c
-    both = in_c & in_t
-    if only_c.any():
-        sel = np.searchsorted(c_idx, union[only_c])
-        out[only_c] = c_vals[sel]
-    if only_t.any():
-        sel = np.searchsorted(t_idx, union[only_t])
-        out[only_t] = t_vals[sel]
-    if both.any():
-        ci = np.searchsorted(c_idx, union[both])
-        ti = np.searchsorted(t_idx, union[both])
-        out[both] = accum(c_vals[ci], t_vals[ti])
-    return union, out
+    return union_apply(c_idx, c_vals, t_idx, t_vals, accum, out_dtype, domain)
 
 
 def _merge_indexed(
@@ -108,28 +119,25 @@ def _merge_indexed(
     accum: Optional[BinaryOp],
     replace: bool,
     out_dtype: np.dtype,
+    domain: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shared core of the write pipeline over sorted index arrays.
 
     ``mask_at(positions) -> bool[len(positions)]`` evaluates the effective
-    mask.  Returns the final sorted (indices, values).
+    mask over ``[0, domain)``.  Returns the final sorted (indices, values).
     """
-    z_idx, z_vals = _accumulate(c_idx, c_vals, t_idx, t_vals, accum, out_dtype)
+    z_idx, z_vals = _accumulate(c_idx, c_vals, t_idx, t_vals, accum, out_dtype, domain)
     # Mask-true positions take Z entries.
     z_keep = mask_at(z_idx)
     out_idx = z_idx[z_keep]
     out_vals = z_vals[z_keep]
     if not replace and c_idx.size:
-        # Mask-false positions retain old C entries.
+        # Mask-false positions retain old C entries (disjoint from Z's).
         c_keep = ~mask_at(c_idx)
         keep_idx = c_idx[c_keep]
-        keep_vals = c_vals[c_keep].astype(out_dtype, copy=False)
         if keep_idx.size:
-            merged_idx = np.concatenate([out_idx, keep_idx])
-            merged_vals = np.concatenate([out_vals, keep_vals])
-            order = np.argsort(merged_idx, kind="stable")
-            out_idx = merged_idx[order]
-            out_vals = merged_vals[order]
+            keep_vals = c_vals[c_keep].astype(out_dtype, copy=False)
+            out_idx, out_vals = merge_disjoint(out_idx, out_vals, keep_idx, keep_vals)
     return out_idx, out_vals
 
 
@@ -173,6 +181,7 @@ def merge_vector(
         accum,
         desc.replace,
         out_type.dtype,
+        c.size,
     )
     return _note_result(SparseVector(c.size, idx, vals, out_type))
 
@@ -197,24 +206,15 @@ def merge_matrix(
     out_type = _output_type(c.type, t.type, accum)
     if share and _trivial_merge(mask, accum, desc):
         return _note_result(t.astype(out_type))
-    c_rows = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
-    t_rows = np.repeat(np.arange(t.nrows, dtype=np.int64), t.row_degrees())
-    c_keys = flat_keys(c_rows, c.indices, c.ncols)
-    t_keys = flat_keys(t_rows, t.indices, t.ncols)
     keys, vals = _merge_indexed(
-        c_keys,
+        c.flat_keys(),
         c.values,
-        t_keys,
+        t.flat_keys(),
         t.values.astype(out_type.dtype, copy=False),
         lambda pos: matrix_mask_at(mask, desc, pos),
         accum,
         desc.replace,
         out_type.dtype,
+        c.nrows * c.ncols,
     )
-    rows = keys // c.ncols if c.ncols else keys
-    cols = keys - rows * c.ncols if c.ncols else keys
-    indptr = np.zeros(c.nrows + 1, dtype=np.int64)
-    if rows.size:
-        np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return _note_result(CSRMatrix(c.nrows, c.ncols, indptr, cols, vals, out_type))
+    return _note_result(CSRMatrix.from_flat_keys(c.nrows, c.ncols, keys, vals, out_type))

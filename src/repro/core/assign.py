@@ -22,10 +22,11 @@ import numpy as np
 
 from ..backends.dispatch import current_backend
 from ..containers.csr import CSRMatrix
+from ..containers.probe import contains, probe
 from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError, IndexOutOfBoundsError, InvalidValueError
 from ..lazy import schedule as _lz
-from .accumulate import _note_result
+from .accumulate import _note_result, merge_disjoint
 from .descriptor import DEFAULT, Descriptor
 from .mask import flat_keys, matrix_mask_at, vector_mask_at
 from .matrix import Matrix
@@ -61,6 +62,38 @@ def _index_array(idx, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _merge_region(
+    c_idx, c_vals, t_idx, t_vals, c_in_region, mask_at, accum, desc, domain, out_dtype
+):
+    """Write (t_idx, t_vals) over canonical (c_idx, c_vals); ``c_in_region``
+    flags C's entries inside the region.  Returns sorted (indices, values)."""
+    t_vals = np.asarray(t_vals).astype(out_dtype, copy=False)
+    # Sort the incoming entries (they are region-mapped, order arbitrary).
+    order = np.argsort(t_idx, kind="stable")
+    t_idx, t_vals = t_idx[order], t_vals[order]
+    allowed_t = mask_at(t_idx)
+    t_idx, t_vals = t_idx[allowed_t], t_vals[allowed_t]
+
+    c_masked = mask_at(c_idx)
+    if accum is None:
+        # Region ∧ mask-true positions are fully rewritten by T.
+        drop = c_in_region & c_masked
+    else:
+        # Accumulate: existing entries survive; T merges in.
+        both, pos = probe(t_idx, c_idx, domain)
+        drop = np.zeros(c_idx.size, dtype=bool)
+        if both.any():
+            sel = pos[both]
+            merged = np.asarray(accum(c_vals[both], t_vals[sel])).astype(out_dtype)
+            t_vals = t_vals.copy()
+            t_vals[sel] = merged
+            drop = both  # replaced by merged T entries
+    if desc.replace:
+        drop = drop | (c_in_region & ~c_masked)
+    # T lands only where C's entry was dropped: the two sets are disjoint.
+    return merge_disjoint(c_idx[~drop], c_vals[~drop], t_idx, t_vals)
+
+
 def _merge_region_vector(
     c: SparseVector,
     t_idx: np.ndarray,
@@ -71,37 +104,11 @@ def _merge_region_vector(
     desc: Descriptor,
 ) -> SparseVector:
     """Write (t_idx, t_vals) into ``c`` restricted to sorted ``region``."""
-    out_dtype = c.type.dtype
-    t_vals = np.asarray(t_vals).astype(out_dtype, copy=False)
-    # Sort the incoming entries (they are region-mapped, order arbitrary).
-    order = np.argsort(t_idx, kind="stable")
-    t_idx, t_vals = t_idx[order], t_vals[order]
-    allowed_t = vector_mask_at(mask, desc, t_idx)
-    t_idx, t_vals = t_idx[allowed_t], t_vals[allowed_t]
-
-    c_in_region = np.isin(c.indices, region, assume_unique=True)
-    c_masked = vector_mask_at(mask, desc, c.indices)
-    if accum is None:
-        # Region ∧ mask-true positions are fully rewritten by T.
-        drop = c_in_region & c_masked
-    else:
-        # Accumulate: existing entries survive; T merges in.
-        both = np.isin(c.indices, t_idx, assume_unique=True)
-        drop = np.zeros(c.nvals, dtype=bool)
-        if both.any():
-            sel = np.searchsorted(t_idx, c.indices[both])
-            merged = np.asarray(accum(c.values[both], t_vals[sel])).astype(out_dtype)
-            t_vals = t_vals.copy()
-            t_vals[sel] = merged
-            drop = both  # replaced by merged T entries
-    if desc.replace:
-        drop = drop | (c_in_region & ~c_masked)
-    keep_idx = c.indices[~drop]
-    keep_vals = c.values[~drop]
-    merged_idx = np.concatenate([keep_idx, t_idx])
-    merged_vals = np.concatenate([keep_vals, t_vals])
-    order = np.argsort(merged_idx, kind="stable")
-    return SparseVector(c.size, merged_idx[order], merged_vals[order], c.type)
+    idx, vals = _merge_region(
+        c.indices, c.values, t_idx, t_vals, contains(region, c.indices, c.size),
+        lambda pos: vector_mask_at(mask, desc, pos), accum, desc, c.size, c.type.dtype,
+    )
+    return SparseVector(c.size, idx, vals, c.type)
 
 
 # Public alias: fused operations (see :mod:`repro.core.fused`) replay the
@@ -122,44 +129,14 @@ def _merge_region_matrix(
     desc: Descriptor,
 ) -> CSRMatrix:
     """Matrix analogue of :func:`_merge_region_vector` via flat keys."""
-    out_dtype = c.type.dtype
-    t_keys = flat_keys(t_rows, t_cols, c.ncols)
-    t_vals = np.asarray(t_vals).astype(out_dtype, copy=False)
-    order = np.argsort(t_keys, kind="stable")
-    t_keys, t_vals = t_keys[order], t_vals[order]
-    allowed_t = matrix_mask_at(mask, desc, t_keys)
-    t_keys, t_vals = t_keys[allowed_t], t_vals[allowed_t]
-
     c_rows = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
-    c_keys = flat_keys(c_rows, c.indices, c.ncols)
-    in_region = np.isin(c_rows, rows, assume_unique=False) & np.isin(
-        c.indices, cols, assume_unique=False
+    in_region = contains(rows, c_rows, c.nrows) & contains(cols, c.indices, c.ncols)
+    keys, vals = _merge_region(
+        c.flat_keys(), c.values, flat_keys(t_rows, t_cols, c.ncols), t_vals, in_region,
+        lambda pos: matrix_mask_at(mask, desc, pos), accum, desc, c.nrows * c.ncols,
+        c.type.dtype,
     )
-    c_masked = matrix_mask_at(mask, desc, c_keys)
-    if accum is None:
-        drop = in_region & c_masked
-    else:
-        both = np.isin(c_keys, t_keys, assume_unique=True)
-        drop = np.zeros(c.nvals, dtype=bool)
-        if both.any():
-            sel = np.searchsorted(t_keys, c_keys[both])
-            merged = np.asarray(accum(c.values[both], t_vals[sel])).astype(out_dtype)
-            t_vals = t_vals.copy()
-            t_vals[sel] = merged
-            drop = both
-    if desc.replace:
-        drop = drop | (in_region & ~c_masked)
-    keys = np.concatenate([c_keys[~drop], t_keys])
-    vals = np.concatenate([c.values[~drop], t_vals])
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    out_rows = keys // c.ncols
-    out_cols = keys - out_rows * c.ncols
-    indptr = np.zeros(c.nrows + 1, dtype=np.int64)
-    if out_rows.size:
-        np.add.at(indptr, out_rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSRMatrix(c.nrows, c.ncols, indptr, out_cols, vals, c.type)
+    return CSRMatrix.from_flat_keys(c.nrows, c.ncols, keys, vals, c.type)
 
 
 # ---------------------------------------------------------------------------

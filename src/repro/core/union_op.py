@@ -24,6 +24,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..containers.csr import CSRMatrix
+from ..containers.probe import union_merge
 from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError
 from ..types import promote
@@ -45,16 +46,13 @@ def _union_indexed(
     beta: Any,
     op: BinaryOp,
     out_dtype: np.dtype,
+    domain: int,
 ):
-    union = np.union1d(a_idx, b_idx)
+    union, a_at, b_at = union_merge(a_idx, b_idx, domain)
     lhs = np.full(union.size, alpha, dtype=np.result_type(a_vals.dtype, type(alpha)))
     rhs = np.full(union.size, beta, dtype=np.result_type(b_vals.dtype, type(beta)))
-    if a_idx.size:
-        pos = np.searchsorted(union, a_idx)
-        lhs[pos] = a_vals
-    if b_idx.size:
-        pos = np.searchsorted(union, b_idx)
-        rhs[pos] = b_vals
+    lhs[a_at] = a_vals
+    rhs[b_at] = b_vals
     vals = np.asarray(op(lhs, rhs)).astype(out_dtype, copy=False)
     return union, vals
 
@@ -83,7 +81,8 @@ def ewise_union(
         ac, bc = a.container, b.container
         out_t = op.result_type(promote(ac.type, bc.type))
         idx, vals = _union_indexed(
-            ac.indices, ac.values, alpha, bc.indices, bc.values, beta, op, out_t.dtype
+            ac.indices, ac.values, alpha, bc.indices, bc.values, beta, op,
+            out_t.dtype, a.size,
         )
         t = SparseVector(a.size, idx, vals, out_t)
         mc = mask.container if mask is not None else None
@@ -94,19 +93,10 @@ def ewise_union(
         raise DimensionMismatchError("output shape", expected=a.shape, actual=out.shape)
     ac, bc = a.container, b.container
     out_t = op.result_type(promote(ac.type, bc.type))
-    a_rows = np.repeat(np.arange(ac.nrows, dtype=np.int64), ac.row_degrees())
-    b_rows = np.repeat(np.arange(bc.nrows, dtype=np.int64), bc.row_degrees())
-    a_keys = a_rows * np.int64(ac.ncols) + ac.indices
-    b_keys = b_rows * np.int64(bc.ncols) + bc.indices
     keys, vals = _union_indexed(
-        a_keys, ac.values, alpha, b_keys, bc.values, beta, op, out_t.dtype
+        ac.flat_keys(), ac.values, alpha, bc.flat_keys(), bc.values, beta, op,
+        out_t.dtype, ac.nrows * ac.ncols,
     )
-    rows = keys // ac.ncols if ac.ncols else keys
-    cols = keys - rows * ac.ncols if ac.ncols else keys
-    indptr = np.zeros(ac.nrows + 1, dtype=np.int64)
-    if rows.size:
-        np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    t = CSRMatrix(ac.nrows, ac.ncols, indptr, cols, vals, out_t)
+    t = CSRMatrix.from_flat_keys(ac.nrows, ac.ncols, keys, vals, out_t)
     mc = mask.container if mask is not None else None
     return out._replace(merge_matrix(out.container, t, mc, accum, desc))

@@ -133,11 +133,14 @@ class PartitionedCSR:
     output — the bit-exact 1-D decomposition.
     """
 
-    __slots__ = ("source", "splitters", "shards", "splitter_policy", "source_version")
+    # No reference to the source matrix beyond the P = 1 shard: a memo that
+    # holds the partition must not keep the matrix alive.
+    __slots__ = ("nrows", "ncols", "type", "splitters", "shards", "splitter_policy")
 
     def __init__(self, matrix: CSRMatrix, nparts: int, splitter: str = "equal_rows"):
-        self.source = matrix
-        self.source_version = matrix.version
+        self.nrows = matrix.nrows
+        self.ncols = matrix.ncols
+        self.type = matrix.type
         self.splitter_policy = splitter
         self.splitters = make_splitters(matrix, nparts, splitter)
         if nparts == 1:
@@ -154,14 +157,6 @@ class PartitionedCSR:
     @property
     def nparts(self) -> int:
         return len(self.shards)
-
-    @property
-    def nrows(self) -> int:
-        return self.source.nrows
-
-    @property
-    def ncols(self) -> int:
-        return self.source.ncols
 
     def owner_of(self, row: int) -> int:
         """Index of the shard owning ``row``."""
@@ -190,9 +185,9 @@ class PartitionedCSR:
         values = (
             np.concatenate(chunks_v)
             if chunks_v
-            else np.empty(0, self.source.type.dtype)
+            else np.empty(0, self.type.dtype)
         )
-        return CSRMatrix(self.nrows, self.ncols, indptr, indices, values, self.source.type)
+        return CSRMatrix(self.nrows, self.ncols, indptr, indices, values, self.type)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

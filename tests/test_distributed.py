@@ -38,6 +38,7 @@ from repro.distributed.partition import (
 )
 from repro.distributed.topology import DGX_NVLINK, PCIE_ONLY
 from repro.generators.rmat import rmat
+from repro.sanitizer import runtime as _gbsan
 from repro.testing.equivalence import assert_same
 from repro.gpu.device import get_device, reset_device
 from repro.types import FP64
@@ -362,3 +363,62 @@ class TestMultiSimBackend:
         with pytest.raises(InvalidValueError):
             ms.configure(splitter="bogus")
         ms.configure(nparts=2, splitter="equal_rows")
+
+
+class TestSlicedMemoBounded:
+    """The sliced-residency memo holds one entry per *live* result and
+    keeps none alive itself.  Under ``GBSAN=1`` the sanitizer's residency
+    mirror holds every result, so only the memo bound is checked there."""
+
+    @staticmethod
+    def _operands():
+        u = SparseVector(64, np.arange(0, 64, 2), np.ones(32), FP64)
+        v = SparseVector(64, np.arange(0, 64, 3), np.ones(22), FP64)
+        return u, v
+
+    def test_dropped_results_leave_the_memo(self):
+        import gc
+        import weakref
+
+        from repro.core.operators import PLUS
+
+        be = multi_sim(2)
+        be.reset()
+        u, v = self._operands()
+        kept, refs = [], []
+        with use_backend(be):
+            for i in range(5000):
+                out = be.ewise_add_vector(u, v, PLUS)
+                refs.append(weakref.ref(out))
+                if i % 1000 == 0:
+                    kept.append(out)
+        del out
+        gc.collect()
+        alive = sum(r() is not None for r in refs)
+        if _gbsan.ACTIVE is None:
+            assert alive == len(kept)
+        assert all(be._is_sliced(c) for c in kept)
+        assert len(be._sliced) <= alive
+
+    def test_recycled_id_is_not_sliced(self):
+        import gc
+        import weakref
+
+        from repro.core.operators import PLUS
+
+        be = multi_sim(2)
+        be.reset()
+        u, v = self._operands()
+        with use_backend(be):
+            out = be.ewise_add_vector(u, v, PLUS)
+        key, ref = id(out), weakref.ref(out)
+        assert be._is_sliced(out)
+        del out
+        gc.collect()
+        if _gbsan.ACTIVE is None:
+            assert ref() is None
+        if ref() is None:
+            assert key not in be._sliced
+        # CPython hands a freed slot to one of these, at the same id().
+        fresh = [SparseVector(64, np.arange(3), np.ones(3), FP64) for _ in range(2000)]
+        assert not any(be._is_sliced(c) for c in fresh)

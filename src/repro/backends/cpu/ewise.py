@@ -51,6 +51,17 @@ def ewise_mult_indexed(
     domain: int,
 ):
     """Intersection merge over sorted index arrays in ``[0, domain)``."""
+    if u_idx.size == domain or v_idx.size == domain:
+        # A full side intersects to the other side: gather the full side's
+        # values at its indices, no probe and no compaction.
+        if u_idx.size == domain:
+            idx, lhs, rhs, kept = v_idx, u_vals[v_idx], v_vals, v_vals
+        else:
+            idx, lhs, rhs, kept = u_idx, u_vals, v_vals[u_idx], u_vals
+        vals = np.asarray(op(lhs, rhs)).astype(out_dtype, copy=False)
+        if np.may_share_memory(vals, kept):
+            vals = vals.copy()  # FIRST/SECOND hand back an operand's values
+        return idx, vals
     if u_idx.size > v_idx.size:
         # Probe the smaller set against the larger one.
         present, pos = probe(u_idx, v_idx, domain)

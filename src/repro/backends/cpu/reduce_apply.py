@@ -10,7 +10,7 @@ from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.monoid import Monoid
 from ...core.operators import UnaryOp
-from .segments import run_starts, segment_reduce
+from .segments import segment_reduce
 
 __all__ = [
     "apply_vec",
@@ -52,7 +52,6 @@ def reduce_mat_vector(a: CSRMatrix, monoid: Monoid) -> SparseVector:
     out_t = monoid.result_type(a.type)
     if a.nvals == 0:
         return SparseVector.empty(a.nrows, out_t)
-    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-    starts = run_starts(rows)
+    rows, starts = a.nonempty_rows()
     vals = segment_reduce(a.values, starts, monoid, out_t.dtype)
-    return SparseVector(a.nrows, rows[starts], vals, out_t)
+    return SparseVector(a.nrows, rows, vals, out_t)

@@ -63,7 +63,7 @@ def expand_structure(a: CSRMatrix, b: CSRMatrix):
     (row-major, so ``rows`` is nondecreasing).  Deferring the value gathers
     lets masked SpGEMM drop coordinates before any multiply happens.
     """
-    a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
+    a_rows = a.row_ids()
     # For every A entry (i, k, av): expand B's row k.
     b_take, lens = take_ranges(b.indptr, a.indices)
     rows = np.repeat(a_rows, lens)
@@ -161,7 +161,7 @@ def _expand_keys_ws(a: CSRMatrix, b: CSRMatrix):
     np.cumsum(a_take, out=a_take)
 
     # keys: repeat(row(i) * ncols, lens) + B's column ids.
-    a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
+    a_rows = a.row_ids()
     base = a_rows[src] * np.int64(b.ncols)
     keys = scratch("spgemm.keys", total, np.int64)
     keys.fill(0)

@@ -114,28 +114,33 @@ def row_gather_product(
     if rows is None:
         flat_idx = csr.indices
         flat_vals = csr.values
-        row_ids = np.repeat(np.arange(csr.nrows, dtype=np.int64), csr.row_degrees())
     else:
         rows = np.asarray(rows, dtype=np.int64)
         take, lens = take_ranges(csr.indptr, rows)
         flat_idx = csr.indices[take]
         flat_vals = csr.values[take]
-        row_ids = np.repeat(rows, lens)
-    if u.nvals == u.size:
-        # Dense-vector fast path: every column is present, so the membership
-        # probe collapses to a direct gather — the win that makes pull the
-        # right direction for dense frontiers (Fig. 5).
-        prods = np.asarray(_products(flat_vals, u.values[flat_idx], semiring, flip))
-        keys = row_ids
+    # Membership of each stored column in u: one slot-map probe over u's
+    # index domain, O(nnz(u) + stored columns) with no search; a full u
+    # (the dense-frontier case that makes pull win, Fig. 5) hits everywhere
+    # without one.
+    hit, pos = probe(u.indices, flat_idx, u.size)
+    nhit = int(np.count_nonzero(hit))
+    if nhit == 0:
+        return SparseVector.empty(n_out, out_type)
+    if nhit == hit.size:
+        # Every stored entry hits: no compaction.  Over all rows the
+        # segments are the matrix's own non-empty rows.
+        prods = np.asarray(_products(flat_vals, u.values[pos], semiring, flip))
+        if rows is None:
+            out_idx, starts = csr.nonempty_rows()
+            out_vals = segment_reduce(prods, starts, semiring.add, out_type.dtype)
+            return SparseVector(n_out, out_idx, out_vals, out_type)
+        keys = np.repeat(rows, lens)
     else:
-        # Membership of each stored column in u: one slot-map probe over
-        # u's index domain, O(nnz(u) + stored columns) with no search.
-        hit, pos = probe(u.indices, flat_idx, u.size)
-        if not hit.any():
-            return SparseVector.empty(n_out, out_type)
         prods = np.asarray(
             _products(flat_vals[hit], u.values[pos[hit]], semiring, flip)
         )
+        row_ids = csr.row_ids() if rows is None else np.repeat(rows, lens)
         keys = row_ids[hit]  # already sorted: CSR order is row-major
     starts = run_starts(keys)
     out_vals = segment_reduce(prods, starts, semiring.add, out_type.dtype)

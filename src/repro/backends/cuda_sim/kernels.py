@@ -41,7 +41,7 @@ from ...types import GrBType, promote
 from ..cpu.ewise import ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec
 from ..cpu.reduce_apply import apply_mat, apply_vec, reduce_mat_vector
 from ..cpu.spgemm import spgemm_esr
-from ..cpu.spmv import row_gather_product, scatter_product, take_ranges
+from ..cpu.spmv import row_gather_product, scatter_product
 
 __all__ = [
     "combine_coalescing",
@@ -552,16 +552,22 @@ def _spgemm_run(a, b, semiring, out_type):
     return spgemm_esr(a, b, semiring, out_type)
 
 
+def _spgemm_products(a: CSRMatrix, b: CSRMatrix) -> Tuple[float, np.ndarray]:
+    """``(expanded, row_flops)``: partial products of ``a @ b`` in total and
+    per row of ``a``, in O(nnz(a)) — one B-row length per A entry, summed
+    per A row through a cumsum read at ``a.indptr``."""
+    lens = b.indptr[a.indices + 1] - b.indptr[a.indices]
+    csum = np.zeros(a.nvals + 1, dtype=np.int64)
+    np.cumsum(lens, out=csum[1:])
+    row_flops = (csum[a.indptr[1:]] - csum[a.indptr[:-1]]).astype(np.float64)
+    return float(csum[-1]), row_flops
+
+
 def _spgemm_work(a: CSRMatrix, b: CSRMatrix, semiring, out_type, lane=None) -> KernelWork:
-    # FLOPs: one multiply+add per expanded partial product.
-    _, lens = take_ranges(b.indptr, a.indices)
-    expanded = float(lens.sum())
+    # FLOPs: one multiply+add per expanded partial product.  Per-output-row
+    # work drives divergence for a block-per-row kernel.
+    expanded, row_flops = _spgemm_products(a, b)
     item = a.type.nbytes
-    # Per-output-row work drives divergence for a block-per-row kernel.
-    row_flops = np.zeros(a.nrows, dtype=np.float64)
-    if a.nvals:
-        a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-        np.add.at(row_flops, a_rows, lens.astype(np.float64))
     sched = _lane_sched(row_flops, lane, "scalar", threads_per_row=64)
     reads, coal = combine_coalescing(
         [
@@ -599,13 +605,8 @@ def _spgemm_masked_work(
     hash-table writes only happen at mask positions, so write traffic (the
     atomic, worst-coalesced part) scales with the mask instead of the
     expansion."""
-    _, lens = take_ranges(b.indptr, a.indices)
-    expanded = float(lens.sum())
+    expanded, row_flops = _spgemm_products(a, b)
     item = a.type.nbytes
-    row_flops = np.zeros(a.nrows, dtype=np.float64)
-    if a.nvals:
-        a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-        np.add.at(row_flops, a_rows, lens.astype(np.float64))
     sched = _lane_sched(row_flops, lane, "scalar", threads_per_row=64)
     reads, coal_r = combine_coalescing(
         [

@@ -173,6 +173,22 @@ class CSRMatrix:
         """Number of stored entries in each row (cached; treat read-only)."""
         return self._cached("row_degrees", lambda: np.diff(self.indptr))
 
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry, in storage order (not cached:
+        it is nnz-sized)."""
+        return np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
+
+    def nonempty_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, starts)``: the rows with stored entries and the offset
+        of each one's first entry — the segments of a row-wise reduction
+        over all entries.  Cached; O(nrows)."""
+
+        def build() -> Tuple[np.ndarray, np.ndarray]:
+            rows = np.flatnonzero(self.row_degrees()).astype(np.int64)
+            return rows, self.indptr[rows]
+
+        return self._cached("nonempty_rows", build)
+
     def out_degrees(self) -> np.ndarray:
         """Alias of :meth:`row_degrees` — out-degrees of an adjacency matrix."""
         return self.row_degrees()
@@ -211,13 +227,14 @@ class CSRMatrix:
                 yield i, int(self.indices[k]), self.values[k]
 
     def to_coo(self) -> COO:
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
-        return COO(self.nrows, self.ncols, rows, self.indices.copy(), self.values.copy(), self.type)
+        return COO(
+            self.nrows, self.ncols, self.row_ids(), self.indices.copy(), self.values.copy(),
+            self.type,
+        )
 
     def flat_keys(self) -> np.ndarray:
         """Row-major keys ``row * ncols + col`` of the stored entries."""
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
-        return rows * np.int64(self.ncols) + self.indices
+        return self.row_ids() * np.int64(self.ncols) + self.indices
 
     @classmethod
     def from_flat_keys(
@@ -232,8 +249,7 @@ class CSRMatrix:
     def to_dense(self, fill=0) -> np.ndarray:
         """Dense 2-D array with ``fill`` at implicit positions."""
         out = np.full((self.nrows, self.ncols), fill, dtype=self.type.dtype)
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
-        out[rows, self.indices] = self.values
+        out[self.row_ids(), self.indices] = self.values
         return out
 
     def copy(self) -> "CSRMatrix":
@@ -282,7 +298,7 @@ class CSRMatrix:
         t_indices = np.empty(nnz, dtype=np.int64)
         t_values = np.empty(nnz, dtype=self.values.dtype)
         if nnz:
-            rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
+            rows = self.row_ids()
             # Stable sort by column preserves row order within each column,
             # so the transposed rows come out with sorted indices.
             order = np.argsort(self.indices, kind="stable")

@@ -18,6 +18,12 @@ sparse/dense vector switch — instead of ``searchsorted`` or hashing
   with one ``flatnonzero`` scan of the domain and cleared; one slot-map
   gather then ranks both operands.
 
+A **full** haystack (``size == domain``) is ``arange(domain)``, so every
+needle hits at its own value: the three functions answer it without
+touching either workspace (a full union operand is the union itself).
+The returned positions and union may then be the caller's own index
+arrays; container index arrays are never written in place.
+
 The bitmap is the slot map's own bytes viewed as bool (all zero is all
 False), so the two never hold memory apart.  The map is restored before a
 call returns, also when it raises, so an operator a caller runs afterwards
@@ -45,7 +51,6 @@ PROBE_CAP = 1 << 25
 UNION_DENSITY = 16
 
 IndexArray = npt.NDArray[np.integer[Any]]
-PosArray = npt.NDArray[np.signedinteger[Any]]
 BoolArray = npt.NDArray[np.bool_]
 
 
@@ -73,14 +78,17 @@ def _bits(domain: int) -> BoolArray:
 
 def probe(
     haystack: IndexArray, needles: IndexArray, domain: int
-) -> Tuple[BoolArray, PosArray]:
+) -> Tuple[BoolArray, IndexArray]:
     """``(hit, pos)`` of each needle in a canonical ``haystack``.
 
     ``hit[k]`` says whether ``needles[k]`` is stored in ``haystack`` and
     ``pos[k]`` is its position there, or -1 (int32 from the slot map,
-    int64 from the fallback).  Needles may repeat and come in any order.
+    int64 from the fallback, ``needles`` itself for a full haystack).
+    Needles may repeat and come in any order.
     """
     n = haystack.size
+    if n == domain:
+        return np.ones(needles.size, dtype=np.bool_), needles
     if n == 0:
         return np.zeros(needles.size, dtype=np.bool_), np.full(needles.size, -1, np.int64)
     if domain <= PROBE_CAP:
@@ -101,6 +109,8 @@ def probe(
 
 def contains(haystack: IndexArray, needles: IndexArray, domain: int) -> BoolArray:
     """``probe(haystack, needles, domain)[0]`` without the positions."""
+    if haystack.size == domain:
+        return np.ones(needles.size, dtype=np.bool_)
     if domain > PROBE_CAP:
         return probe(haystack, needles, domain)[0]
     bits = _bits(domain)
@@ -113,9 +123,13 @@ def contains(haystack: IndexArray, needles: IndexArray, domain: int) -> BoolArra
 
 def union_merge(
     a_idx: IndexArray, b_idx: IndexArray, domain: int
-) -> Tuple[PosArray, PosArray, PosArray]:
+) -> Tuple[IndexArray, IndexArray, IndexArray]:
     """``(union, a_at, b_at)``: the sorted union of two canonical arrays,
     with ``union[a_at] == a_idx`` and ``union[b_at] == b_idx``."""
+    if a_idx.size == domain:
+        return a_idx, np.arange(domain, dtype=np.int64), b_idx
+    if b_idx.size == domain:
+        return b_idx, a_idx, np.arange(domain, dtype=np.int64)
     m = a_idx.size + b_idx.size
     if domain <= PROBE_CAP and domain <= UNION_DENSITY * m:
         bits = _bits(domain)

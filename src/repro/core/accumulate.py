@@ -72,6 +72,18 @@ def _trivial_merge(mask, accum, desc: Descriptor) -> bool:
 def union_apply(a_idx, a_vals, b_idx, b_vals, op, out_dtype, domain: int):
     """Union merge of two canonical (index, value) sets in ``[0, domain)``:
     lone entries pass through, shared indices get ``op(a, b)`` (if any)."""
+    if a_idx.size == domain:
+        # A full side is the union: write it, then apply op where the
+        # other side is stored (its indices are its positions).
+        out = a_vals.astype(out_dtype)
+        if b_idx.size:
+            out[b_idx] = np.asarray(op(a_vals[b_idx], b_vals))
+        return a_idx, out
+    if b_idx.size == domain:
+        out = b_vals.astype(out_dtype)
+        if a_idx.size:
+            out[a_idx] = np.asarray(op(a_vals, b_vals[a_idx]))
+        return b_idx, out
     union, a_at, b_at = union_merge(a_idx, b_idx, domain)
     out = np.empty(union.size, dtype=out_dtype)
     out[a_at] = a_vals

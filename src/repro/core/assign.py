@@ -129,7 +129,7 @@ def _merge_region_matrix(
     desc: Descriptor,
 ) -> CSRMatrix:
     """Matrix analogue of :func:`_merge_region_vector` via flat keys."""
-    c_rows = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
+    c_rows = c.row_ids()
     in_region = contains(rows, c_rows, c.nrows) & contains(cols, c.indices, c.ncols)
     keys, vals = _merge_region(
         c.flat_keys(), c.values, flat_keys(t_rows, t_cols, c.ncols), t_vals, in_region,
@@ -200,7 +200,7 @@ def assign(
         )
     sc = src.container
     current_backend().charge_assign(sc.nvals, out)
-    src_rows = np.repeat(np.arange(sc.nrows, dtype=np.int64), sc.row_degrees())
+    src_rows = sc.row_ids()
     return out._replace(
         _note_result(_merge_region_matrix(
             out.container,

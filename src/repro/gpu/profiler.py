@@ -46,16 +46,39 @@ class LaunchRecord:
 
 
 class Profiler:
-    """Accumulates launch records and provides aggregates."""
+    """Accumulates launch records and provides aggregates.
+
+    The scalar aggregates are running totals, added in record order as
+    each record arrives, so they equal a left-to-right ``sum()`` over
+    :attr:`records` and reading them is O(1) however long the run.
+    """
 
     def __init__(self) -> None:
         self.records: List[LaunchRecord] = []
+        self.reset()
 
     def record(self, rec: LaunchRecord) -> None:
         self.records.append(rec)
+        self._total_us += rec.duration_us
+        if rec.kind == "kernel":
+            self._kernel_us += rec.duration_us
+            self._launches += 1
+            if rec.name.startswith(REPLAY_PREFIX):
+                self._replays += 1
+        elif rec.kind in ("h2d", "d2h"):
+            self._transfer_us += rec.duration_us
+            if rec.kind == "h2d":
+                self._h2d_bytes += rec.bytes
 
     def reset(self) -> None:
         self.records.clear()
+        # Int zero starts, as sum() does: an all-int stream stays int.
+        self._total_us: float = 0
+        self._kernel_us: float = 0
+        self._transfer_us: float = 0
+        self._h2d_bytes: float = 0
+        self._launches = 0
+        self._replays = 0
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -63,33 +86,29 @@ class Profiler:
 
     @property
     def total_time_us(self) -> float:
-        return sum(r.duration_us for r in self.records)
+        return self._total_us
 
     @property
     def kernel_time_us(self) -> float:
-        return sum(r.duration_us for r in self.records if r.kind == "kernel")
+        return self._kernel_us
 
     @property
     def transfer_time_us(self) -> float:
-        return sum(r.duration_us for r in self.records if r.kind in ("h2d", "d2h"))
+        return self._transfer_us
 
     @property
     def launch_count(self) -> int:
-        return sum(1 for r in self.records if r.kind == "kernel")
+        return self._launches
 
     @property
     def h2d_bytes(self) -> float:
         """Bytes actually copied host→device (elided uploads excluded)."""
-        return sum(r.bytes for r in self.records if r.kind == "h2d")
+        return self._h2d_bytes
 
     @property
     def replay_count(self) -> int:
         """Aggregated loop-replay launches (see repro.lazy.capture)."""
-        return sum(
-            1
-            for r in self.records
-            if r.kind == "kernel" and r.name.startswith(REPLAY_PREFIX)
-        )
+        return self._replays
 
     def by_kernel(self, expand_replays: bool = False) -> Dict[str, Dict[str, float]]:
         """Per-kernel-name aggregate: count, total time, flops, bytes.

@@ -188,9 +188,7 @@ class DynamicGraph:
         """
         base = self._matrix.container
         if len(self._overlay) == 0:
-            rows = np.repeat(
-                np.arange(base.nrows, dtype=np.int64), np.diff(base.indptr)
-            )
+            rows = base.row_ids()
             return rows, base.indices.copy()
         indptr, indices, _vals = merge_overlay(base, self._overlay)
         rows = np.repeat(np.arange(base.nrows, dtype=np.int64), np.diff(indptr))

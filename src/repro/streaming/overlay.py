@@ -92,7 +92,7 @@ def merge_overlay(
     """
     if len(overlay) == 0:
         return base.indptr.copy(), base.indices.copy(), base.values.copy()
-    b_rows = np.repeat(np.arange(base.nrows, dtype=np.int64), np.diff(base.indptr))
+    b_rows = base.row_ids()
     all_rows = np.concatenate([b_rows, overlay.rows])
     all_cols = np.concatenate([base.indices, overlay.cols])
     all_vals = np.concatenate(

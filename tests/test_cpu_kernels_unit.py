@@ -1,12 +1,15 @@
-"""CPU backend internals: segments, take_ranges, direction heuristic."""
+"""CPU backend internals: segments, take_ranges, direction heuristic,
+and the pull kernel's all-hit path."""
 
 import numpy as np
 import pytest
 
 from repro.backends.cpu.segments import run_starts, segment_reduce, ufunc_for
+from repro.backends.cpu import spmv
 from repro.backends.cpu.spmv import (
     choose_direction,
     mask_row_candidates,
+    row_gather_product,
     take_ranges,
 )
 from repro.containers.csr import CSRMatrix
@@ -19,8 +22,9 @@ from repro.core.monoid import (
     Monoid,
     PLUS_MONOID,
 )
-from repro.core.operators import FIRST, SECOND, binary_op
-from repro.types import FP64
+from repro.core.operators import FIRST, MINUS, SECOND, binary_op
+from repro.core.semiring import MIN_PLUS, PLUS_TIMES, Semiring
+from repro.types import FP64, INT64
 
 
 class TestRunStarts:
@@ -159,3 +163,87 @@ class TestChooseDirection:
     def test_auto_without_csc_never_pushes(self, a):
         u = SparseVector(100, [5], [1.0], FP64)
         assert choose_direction(a, u, None, DEFAULT, "auto", False) == "pull"
+
+
+def _compacting_pull(csr, u, semiring, out_type, flip, rows):
+    """The general pull path spelled out: search every stored column in u,
+    compact the hits, reduce each row's run."""
+    if rows is None:
+        take = np.arange(csr.nvals, dtype=np.int64)
+        row_ids = np.repeat(np.arange(csr.nrows, dtype=np.int64), np.diff(csr.indptr))
+    else:
+        take, lens = take_ranges(csr.indptr, rows)
+        row_ids = np.repeat(rows, lens)
+    cols = csr.indices[take]
+    pos = np.searchsorted(u.indices, cols)
+    hit = u.indices[np.minimum(pos, u.nvals - 1)] == cols
+    a_vals, u_vals = csr.values[take][hit], u.values[pos[hit]]
+    prods = np.asarray(semiring.mult(u_vals, a_vals) if flip else semiring.mult(a_vals, u_vals))
+    keys = row_ids[hit]
+    starts = run_starts(keys)
+    return keys[starts], segment_reduce(prods, starts, semiring.add, out_type.dtype)
+
+
+class TestPullAllHit:
+    """Dense u, u covering exactly the stored columns (the all-hit path) and
+    partial u (the compacting path) agree bitwise with the spelled-out
+    compacting pull, with and without a row subset."""
+
+    N = 40
+
+    @pytest.fixture
+    def csr(self):
+        rng = np.random.default_rng(7)
+        dense = rng.integers(1, 9, size=(self.N, self.N)) * (rng.random((self.N, self.N)) < 0.15)
+        dense[::5] = 0  # empty rows
+        dense[:, 3::7] = 0  # empty columns: covering u is not full
+        return CSRMatrix.from_dense(dense.astype(np.int64))
+
+    def _u(self, csr, kind):
+        rng = np.random.default_rng(11)
+        if kind == "dense":
+            idx = np.arange(self.N, dtype=np.int64)
+        elif kind == "covering":
+            idx = np.unique(csr.indices)
+            assert idx.size < self.N
+        else:
+            idx = np.flatnonzero(rng.random(self.N) < 0.5).astype(np.int64)
+        return SparseVector(self.N, idx, rng.integers(-5, 6, size=idx.size), INT64)
+
+    @pytest.mark.parametrize("kind", ["dense", "covering", "partial"])
+    @pytest.mark.parametrize("with_rows", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize(
+        "semiring,out_type",
+        [
+            (PLUS_TIMES, INT64),
+            (PLUS_TIMES, FP64),  # int -> float output
+            (MIN_PLUS, INT64),
+            (Semiring("PLUS_MINUS", PLUS_MONOID, MINUS), FP64),  # not commutative
+        ],
+    )
+    def test_matches_compacting_path(self, csr, kind, with_rows, flip, semiring, out_type):
+        u = self._u(csr, kind)
+        rows = np.arange(0, self.N, 3, dtype=np.int64) if with_rows else None
+        got = row_gather_product(csr, u, semiring, out_type, flip=flip, rows=rows)
+        want_idx, want_vals = _compacting_pull(csr, u, semiring, out_type, flip, rows)
+        assert got.indices.tobytes() == want_idx.astype(np.int64).tobytes()
+        assert got.values.dtype == want_vals.dtype
+        assert got.values.tobytes() == want_vals.tobytes()
+
+    @pytest.mark.parametrize("kind", ["dense", "covering"])
+    def test_all_hit_over_all_rows_needs_no_run_scan(self, csr, kind, monkeypatch):
+        def no_scan(keys):
+            raise AssertionError("all-hit pull over all rows scanned the keys")
+
+        monkeypatch.setattr(spmv, "run_starts", no_scan)
+        got = row_gather_product(csr, self._u(csr, kind), PLUS_TIMES, INT64)
+        rows, starts = csr.nonempty_rows()
+        np.testing.assert_array_equal(got.indices, rows)
+        np.testing.assert_array_equal(starts, csr.indptr[rows])
+
+    def test_nonempty_rows_cached_per_version(self, csr):
+        first = csr.nonempty_rows()
+        assert csr.nonempty_rows() is first
+        csr.bump_version()
+        assert csr.nonempty_rows() is not first

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import repro as gb
+from repro.backends.cpu.spmv import take_ranges
+from repro.backends.cuda_sim import kernels
 from repro.backends.cuda_sim.kernels import (
     SPGEMM_HASH,
+    SPGEMM_HASH_MASKED,
     SPMSV_PUSH,
     SPMV_CSR_VECTOR,
     TRANSPOSE_COUNTSORT,
@@ -104,6 +107,46 @@ class TestSpgemmWork:
         a = CSRMatrix.empty(8, 8, FP64)
         w = SPGEMM_HASH.work(a, a, PLUS_TIMES, FP64)
         assert w.flops == 0.0
+
+    @staticmethod
+    def _expanded_products(a, b):
+        """The per-row FLOP count read off the full expansion (the old way)."""
+        _, lens = take_ranges(b.indptr, a.indices)
+        row_flops = np.zeros(a.nrows, dtype=np.float64)
+        if a.nvals:
+            a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), np.diff(a.indptr))
+            np.add.at(row_flops, a_rows, lens.astype(np.float64))
+        return float(lens.sum()), row_flops
+
+    @pytest.mark.parametrize("shape", [(12, 9, 14), (1, 5, 1), (6, 6, 6)])
+    @pytest.mark.parametrize("lane", [None, "scalar", "vector", "merge"])
+    def test_kernel_work_matches_expansion(self, shape, lane, monkeypatch):
+        m, k, n = shape
+        rng = np.random.default_rng(m * 100 + k)
+        da = (rng.random((m, k)) < 0.4) * rng.random((m, k))
+        db = (rng.random((k, n)) < 0.4) * rng.random((k, n))
+        da[0] = 0  # an empty A row
+        db[-1] = 0  # an empty B row
+        a, b = CSRMatrix.from_dense(da), CSRMatrix.from_dense(db)
+        empty = CSRMatrix.empty(m, k, FP64)
+        allowed = np.arange(0, m * n, 3, dtype=np.int64)
+        for lhs in (a, empty):
+            calls = [
+                lambda: kernels._spgemm_work(lhs, b, PLUS_TIMES, FP64, lane=lane),
+                lambda: kernels._spgemm_masked_work(
+                    lhs, b, PLUS_TIMES, FP64, allowed, lane=lane
+                ),
+            ]
+            expanded, row_flops = kernels._spgemm_products(lhs, b)
+            want_expanded, want_rows = self._expanded_products(lhs, b)
+            assert expanded == want_expanded
+            assert row_flops.tobytes() == want_rows.tobytes()
+            new = [call() for call in calls]
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels, "_spgemm_products", self._expanded_products)
+                old = [call() for call in calls]
+            assert new == old  # KernelWork is a dataclass: every field equal
+        assert SPGEMM_HASH_MASKED.work is kernels._spgemm_masked_work
 
 
 class TestTransposeWork:

@@ -82,6 +82,46 @@ class TestProfiler:
         agg = p.by_kernel()["k1"]
         assert agg["count"] == 2 and agg["flops"] == 30
 
+    def test_running_totals_equal_record_sums(self):
+        p = Profiler()
+
+        def sums():
+            recs = p.records
+            return (
+                sum(r.duration_us for r in recs),
+                sum(r.duration_us for r in recs if r.kind == "kernel"),
+                sum(r.duration_us for r in recs if r.kind in ("h2d", "d2h")),
+                sum(1 for r in recs if r.kind == "kernel"),
+                sum(r.bytes for r in recs if r.kind == "h2d"),
+                sum(1 for r in recs if r.kind == "kernel" and r.name.startswith("graph_replay[")),
+            )
+
+        def totals():
+            return (
+                p.total_time_us, p.kernel_time_us, p.transfer_time_us,
+                p.launch_count, p.h2d_bytes, p.replay_count,
+            )
+
+        def same_types():
+            return [type(x) for x in totals()] == [type(x) for x in sums()]
+
+        assert totals() == sums() == (0, 0, 0, 0, 0, 0) and same_types()
+        rng = np.random.default_rng(3)
+        kinds = ["kernel", "h2d", "d2h", "comm"]
+        for step in range(2):
+            for i in range(200):
+                kind = kinds[int(rng.integers(len(kinds)))]
+                name = "graph_replay[pr]" if kind == "kernel" and i % 7 == 0 else f"{kind}{i}"
+                # Durations that do not add exactly: the order of addition shows.
+                dur = float(rng.random() * 10.0 ** rng.integers(-3, 4))
+                nbytes = int(rng.integers(0, 1 << 20)) if i % 2 else float(rng.random() * 1e6)
+                p.record(LaunchRecord(name, kind, float(i), dur, bytes=nbytes))
+                assert totals() == sums()
+            assert same_types()
+            p.reset()
+            assert totals() == sums() == (0, 0, 0, 0, 0, 0) and same_types()
+            assert p.records == []
+
     def test_summary_renders(self):
         p = Profiler()
         p.record(LaunchRecord("spmv", "kernel", 0, 5.0, bytes=1e9))

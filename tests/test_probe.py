@@ -8,7 +8,9 @@ all zeros after every call — including after an operator that raises in a
 kernel built on it — because the next probe relies on that invariant.
 The kernels that replaced their own hashing and binary-search merges are
 checked against a plain-Python loop oracle, with a non-commutative
-operator and an int → float output domain.
+operator and an int → float output domain.  A full operand (``size ==
+domain``) takes a shortcut that never grows the workspace; it is held to
+the same oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.backends.cpu.ewise import ewise_add_indexed, ewise_mult_indexed
 from repro.containers import probe as probe_mod
 from repro.containers.probe import PROBE_CAP, contains, probe, union_merge
 from repro.core.accumulate import _accumulate
-from repro.core.operators import MINUS, PLUS, BinaryOp
+from repro.core.operators import FIRST, MINUS, PLUS, SECOND, BinaryOp
 from repro.core.union_op import _union_indexed
 
 
@@ -51,6 +53,23 @@ def index_sets(draw, max_size=40):
     a = _canon(draw(st.lists(idx, max_size=max_size)))
     b = _canon(draw(st.lists(idx, max_size=max_size)))
     return domain, a, b
+
+
+@st.composite
+def full_index_sets(draw, max_size=40):
+    """(domain, a, b) where ``a``, ``b`` or both are ``arange(domain)``."""
+    domain = draw(st.integers(1, 60))
+    idx = st.integers(0, domain - 1)
+    full = np.arange(domain, dtype=np.int64)
+    a = _canon(draw(st.lists(idx, max_size=max_size)))
+    b = _canon(draw(st.lists(idx, max_size=max_size)))
+    side = draw(st.sampled_from(["a", "b", "both"]))
+    return domain, (full if side != "b" else a), (full if side != "a" else b)
+
+
+def _ws_untouched() -> bool:
+    """The fixture's empty map was never grown: no workspace was used."""
+    return probe_mod._WS.slots.size == 0
 
 
 def _oracle_probe(hay, needles):
@@ -111,6 +130,16 @@ class TestProbe:
         _check_probe(a, b, domain)
         _check_probe(b, a, domain)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60), st.data())
+    def test_full_haystack_skips_workspace(self, domain, data):
+        hay = np.arange(domain, dtype=np.int64)
+        needles = np.array(
+            data.draw(st.lists(st.integers(0, domain - 1), max_size=60)), dtype=np.int64
+        )
+        _check_probe(hay, needles, domain)
+        assert _ws_untouched()
+
     @pytest.mark.parametrize("domain", [PROBE_CAP, PROBE_CAP + 1])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -131,6 +160,27 @@ class TestUnionMerge:
     @pytest.mark.parametrize("domain,a,b", EDGES)
     def test_edges(self, domain, a, b):
         _check_union(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), domain)
+
+    @settings(max_examples=150, deadline=None)
+    @given(full_index_sets())
+    def test_full_operand_matches_union1d(self, sets):
+        domain, a, b = sets
+        _check_union(a, b, domain)
+        _check_union(b, a, domain)
+        assert _ws_untouched()
+
+    @pytest.mark.parametrize("domain", [64, 65])
+    def test_full_operand_above_cap(self, domain, monkeypatch):
+        # A full side answers without the sort fallback or a workspace
+        # (a small cap stands in for PROBE_CAP, so no 2^25 arrays).
+        monkeypatch.setattr(probe_mod, "PROBE_CAP", 64)
+        full = np.arange(domain, dtype=np.int64)
+        b = np.array([0, 7, domain - 1], dtype=np.int64)
+        union, a_at, b_at = union_merge(full, b, domain)
+        assert union is full
+        _same_bits(a_at, full)
+        _same_bits(b_at, b)
+        assert _ws_untouched()
 
     @pytest.mark.parametrize("domain", [PROBE_CAP, PROBE_CAP + 1])
     @pytest.mark.parametrize("dense", [False, True])
@@ -227,6 +277,30 @@ class TestKernels:
         want = [(k, x - db[k]) for k, x in zip(a.tolist(), av.tolist()) if k in db]
         np.testing.assert_array_equal(idx, [k for k, _ in want])
         _same_bits(vals, np.array([v for _, v in want], dtype=np.float64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(full_index_sets(), st.sampled_from([MINUS, PLUS]), st.sampled_from(["i", "f"]), st.data())
+    def test_full_side_add_matches_loop(self, sets, op, kind, data):
+        domain, a, b = sets
+        av, bv = _values(data.draw, a.size, kind), _values(data.draw, b.size, kind)
+        self._check_add(domain, a, av, b, bv, op)
+        assert _ws_untouched()
+
+    @settings(max_examples=100, deadline=None)
+    @given(full_index_sets(), st.sampled_from([MINUS, FIRST, SECOND]), st.data())
+    def test_full_side_mult_matches_loop(self, sets, op, data):
+        domain, a, b = sets
+        av, bv = _values(data.draw, a.size, "i"), _values(data.draw, b.size, "i")
+        db = dict(zip(b.tolist(), bv.tolist()))
+        pairs = [(k, x, db[k]) for k, x in zip(a.tolist(), av.tolist()) if k in db]
+        for out_dtype in (np.dtype(np.int64), np.dtype(np.float64)):  # int -> float output
+            idx, vals = ewise_mult_indexed(a, av, b, bv, op, out_dtype, domain)
+            np.testing.assert_array_equal(idx, [k for k, _, _ in pairs])
+            want = [op(np.asarray([x]), np.asarray([y]))[0] for _, x, y in pairs]
+            _same_bits(vals, np.array(want, dtype=out_dtype))
+            # FIRST/SECOND must not hand back an operand's own values array.
+            assert not np.shares_memory(vals, av) and not np.shares_memory(vals, bv)
+        assert _ws_untouched()
 
     @settings(max_examples=100, deadline=None)
     @given(index_sets(), st.data())
